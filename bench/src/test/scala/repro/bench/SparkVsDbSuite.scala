@@ -1,31 +1,29 @@
 package repro.bench
 
 import repro.baselines.Cracker
-import repro.core.{RandomisedContraction, RcSparkSql}
+import repro.core.RandomisedContraction
 import repro.datasets.DatasetCatalog
 import repro.harness.{BenchHarness, TableFormat}
 
-/** §VII-C — the "Streets of Italy" comparison and the engine comparison.
+/** §VII-C — the "Streets of Italy" comparison.
   *
   * Paper numbers: Cracker's own best case (Streets of Italy) took 1338 s in
   * its published Spark implementation; in-database RC finished in 143 s and
   * the in-database Cracker port in 261 s (RC ≈ 1.8× faster than Cracker on
   * the same engine). Separately, the same RC SQL ran ~2.3× slower in Spark
   * SQL than in HAWQ. We cannot host a second engine, so we reproduce the
-  * same-engine claims: RC vs the Cracker port on the streets graph, and
-  * RC-as-SQL-text vs RC-as-DataFrame as the closest same-SQL/two-API pair
-  * (DESIGN.md §4).
+  * same-engine claim: RC (which runs as the paper's SQL text) vs the Cracker
+  * port on the streets graph (DESIGN.md §4).
   */
 class SparkVsDbSuite extends BenchBase {
 
-  test("§VII-C: streets graph — RC vs Cracker, and SQL-text vs DataFrame RC") {
+  test("§VII-C: streets graph — RC vs Cracker") {
     val stats = BenchHarness.prepare(spark, DatasetCatalog.streets)
 
-    val rcDf  = BenchHarness.runOne(stats, "Streets", RandomisedContraction(), seed = 3L)
-    val rcSql = BenchHarness.runOne(stats, "Streets", RcSparkSql, seed = 3L)
-    val cr    = BenchHarness.runOne(stats, "Streets", Cracker, seed = 3L)
+    val rc = BenchHarness.runOne(stats, "Streets", RandomisedContraction(), seed = 3L)
+    val cr = BenchHarness.runOne(stats, "Streets", Cracker, seed = 3L)
 
-    val rows = Seq(rcDf, rcSql, cr).map(r =>
+    val rows = Seq(rc, cr).map(r =>
       Seq(r.algo, r.status, f"${r.seconds}%.1f", r.rounds.toString, f"${r.maxMb}%.1f"))
     val table = TableFormat.render(Seq("algo", "status", "seconds", "rounds", "max MB"), rows)
     println(s"\n=== §VII-C (streets: |V|=${stats.vertices}, |E|=${stats.rows}) ===")
@@ -34,15 +32,9 @@ class SparkVsDbSuite extends BenchBase {
     println("       RC in Spark SQL ≈ 2.3× RC in-DB (HAWQ optimiser maturity)")
     TableFormat.save("sec7c_streets.txt", table)
 
-    assert(Seq(rcDf, rcSql, cr).forall(_.status == "ok"))
+    assert(Seq(rc, cr).forall(_.status == "ok"))
     // The shape claim: RC beats the Cracker port on the same engine.
-    assert(rcDf.seconds < cr.seconds,
-      f"RC (${rcDf.seconds}%.1f s) should beat Cracker (${cr.seconds}%.1f s) on streets")
-    // The SQL-text and DataFrame paths run the same logical plan family; the
-    // gap must be engine overhead, not algorithmic (well under the paper's
-    // 2.3× cross-engine factor in either direction).
-    val gap = rcSql.seconds / rcDf.seconds
-    println(f"RC-sql / RC-DataFrame time ratio: $gap%.2f")
-    assert(gap < 4.0 && gap > 0.25, f"same-engine same-SQL gap $gap%.2f is implausible")
+    assert(rc.seconds < cr.seconds,
+      f"RC (${rc.seconds}%.1f s) should beat Cracker (${cr.seconds}%.1f s) on streets")
   }
 }

@@ -2,7 +2,7 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.baselines.Cracker
-import repro.core.{RandomisedContraction, RcSparkSql}
+import repro.core.RandomisedContraction
 import repro.datasets.DatasetCatalog
 import repro.harness.{BenchHarness, TableFormat}
 
@@ -79,7 +79,7 @@ object TableIVJob extends SweepJob("IV")
 /** Table V: total data written. */
 object TableVJob extends SweepJob("V")
 
-/** §VII-C: streets-of-Italy comparison (RC vs RC-sql vs Cracker). */
+/** §VII-C: streets-of-Italy comparison (RC vs Cracker). */
 object SparkVsDbJob {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("sparkVsDb")
@@ -87,7 +87,6 @@ object SparkVsDbJob {
     val stats = BenchHarness.prepare(spark, DatasetCatalog.streets)
     val rows = Seq(
       BenchHarness.runOne(stats, "Streets", RandomisedContraction(), seed = 3L),
-      BenchHarness.runOne(stats, "Streets", RcSparkSql, seed = 3L),
       BenchHarness.runOne(stats, "Streets", Cracker, seed = 3L),
     ).map(r => Seq(r.algo, r.status, f"${r.seconds}%.1f", r.rounds.toString))
     println(TableFormat.render(Seq("algo", "status", "seconds", "rounds"), rows))

@@ -1,11 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
 import repro.gf.{Gf64, ModP}
 import scala.util.Random
 
-/** Per-round random bijection h_i used to order vertices (§V-C).
+/** How a round of RC orders the vertices (§V-C).
   *
   * The paper's three randomisation methods:
   *
@@ -18,18 +16,20 @@ import scala.util.Random
   */
 sealed trait Randomisation {
   def name: String
+}
+
+/** A method that draws a random bijection h_i on vertex IDs per round. */
+sealed trait HashMethod extends Randomisation {
   /** Draw the per-round randomness. */
   def nextRound(rng: Random): RoundHash
 }
 
-/** The drawn randomness of one round, exposing h as a Column transform. */
+/** The drawn bijection h_i of one round, as SQL text. */
 trait RoundHash {
-  /** h_i applied to a vertex-ID column (used both for picking representatives
-    * and for relabelling unmatched rows during composition).
+  /** h_i applied to the SQL expression `x` (used both for picking
+    * representatives and for relabelling unmatched rows during composition).
     */
-  def hash(x: Column): Column
-  /** h_i applied driver-side (Fast variant's (A,B) accumulator arithmetic). */
-  def hashLong(x: Long): Long
+  def hash(x: String): String
 }
 
 /** Affine rounds compose in closed form: needed by the Fast variant's
@@ -45,11 +45,10 @@ trait AffineRoundHash extends RoundHash {
 /** Finite fields method over GF(2^64) — the method used in all the paper's
   * experiments, via the `gf64_axb` engine function (paper's C UDF `axplusb`).
   */
-case object FiniteField64 extends Randomisation {
+case object FiniteField64 extends HashMethod {
   val name = "gf64"
   final case class Round(a: Long, b: Long) extends AffineRoundHash {
-    def hash(x: Column): Column = call_function("gf64_axb", lit(a), x.cast("long"), lit(b))
-    def hashLong(x: Long): Long = Gf64.axb(a, x, b)
+    def hash(x: String): String = s"gf64_axb(${a}L, $x, ${b}L)"
     /** Fig. 4 accumulator step: (A,B) ← (A·α, A·β + B) over GF(2^64). */
     def compose(inner: AffineRoundHash): AffineRoundHash =
       Round(Gf64.axb(a, inner.a, 0L), Gf64.axb(a, inner.b, b))
@@ -59,17 +58,20 @@ case object FiniteField64 extends Randomisation {
     while (a == 0L) a = rng.nextLong()
     Round(a, rng.nextLong())
   }
-  val identity: Round = Round(Gf64.One, 0L)
 }
 
 /** Finite fields method over GF(p), p = 2^31 − 1 — the paper's "SQL-only"
-  * alternative (plain modular arithmetic, no UDF). Vertex IDs must be < p.
+  * alternative (plain modular arithmetic, no UDF). h is a bijection on
+  * [0, p) only, so an ID outside that range fails the query instead of
+  * sharing a label with the ID it collides with.
   */
-case object FinitePrimeField extends Randomisation {
+case object FinitePrimeField extends HashMethod {
   val name = "modp"
   final case class Round(a: Long, b: Long) extends AffineRoundHash {
-    def hash(x: Column): Column = pmod(lit(a) * x.cast("long") + lit(b), lit(ModP.P))
-    def hashLong(x: Long): Long = ModP.axb(a, x, b)
+    def hash(x: String): String =
+      s"case when $x < 0 or $x >= ${ModP.P}L " +
+        s"then raise_error(concat('vertex ID ', cast($x as string), ' outside [0, ${ModP.P}) of GF(p)')) " +
+        s"else pmod(${a}L * $x + ${b}L, ${ModP.P}L) end"
     def compose(inner: AffineRoundHash): AffineRoundHash =
       Round(a * inner.a % ModP.P, (a * inner.b + b) % ModP.P)
   }
@@ -78,20 +80,16 @@ case object FinitePrimeField extends Randomisation {
     val b = math.floorMod(rng.nextLong(), ModP.P)          // in [0, p)
     Round(a, b)
   }
-  val identity: Round = Round(1L, 0L)
 }
 
 /** Encryption method (§V-C): pseudo-random bijection via a 64-bit block
   * cipher with a fresh random key each round. XTEA substitutes for the
   * paper's Blowfish (DESIGN.md §4). Not affine → Deterministic variant only.
   */
-case object Encryption extends Randomisation {
+case object Encryption extends HashMethod {
   val name = "xtea"
   final case class Round(k0: Int, k1: Int, k2: Int, k3: Int) extends RoundHash {
-    def hash(x: Column): Column =
-      call_function("xtea_enc", x.cast("long"),
-        lit(k0.toLong), lit(k1.toLong), lit(k2.toLong), lit(k3.toLong))
-    def hashLong(x: Long): Long = repro.gf.Xtea.encrypt(x, k0, k1, k2, k3)
+    def hash(x: String): String = s"xtea_enc($x, $k0, $k1, $k2, $k3)"
   }
   def nextRound(rng: Random): Round = Round(rng.nextInt(), rng.nextInt(), rng.nextInt(), rng.nextInt())
 }
@@ -103,12 +101,8 @@ case object Encryption extends Randomisation {
   */
 case object RandomReals extends Randomisation {
   val name = "randreal"
-  final case class Round(seed: Long) extends RoundHash {
-    // Not used as a column transform: RC builds an explicit H table instead.
-    def hash(x: Column): Column =
-      throw new UnsupportedOperationException("random reals uses an explicit per-vertex table")
-    def hashLong(x: Long): Long =
-      throw new UnsupportedOperationException("random reals has no driver-side closed form")
-  }
-  def nextRound(rng: Random): Round = Round(rng.nextLong())
+  /** Seed of the round's random table: the second of two draws per round.
+    * Any other draw order would change the labels every run seed gives.
+    */
+  def nextSeed(rng: Random): Long = { rng.nextLong(); rng.nextLong() }
 }

@@ -1,10 +1,10 @@
 package repro.core
 
+import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.gf.GfFunctions
 import repro.graph.{GraphOps, SpaceTracker}
-import scala.collection.mutable.ArrayBuffer
+import scala.collection.mutable
 import scala.util.Random
 
 /** Implementation variants of Randomised Contraction (§V-D). */
@@ -18,18 +18,19 @@ object Variant {
   case object Fast extends Variant
 }
 
-/** The paper's contribution: Randomised Contraction (§V).
+/** The paper's contribution: Randomised Contraction (§V), run as the paper's
+  * SQL script (Figs. 3, 4 and 8) through `spark.sql`.
   *
   * Per round i: draw a fresh random bijection h_i, map every vertex to the
   * representative `r_i(v) = min_{w ∈ N[v]} h_i(w)` (one aggregate query),
   * contract the edge table by replacing endpoints with representatives and
   * dropping duplicates and loops (one self-join query), and fold r_i into the
-  * running composition. Terminates when the edge table is empty; expected
+  * composition. Terminates when the edge table is empty; expected
   * O(log |V|) rounds for any input (Theorem 1: shrink factor γ ≤ 3/4).
   *
-  * Each materialised DataFrame corresponds 1:1 to a `CREATE TABLE` in the
-  * paper's SQL scripts (Figs. 3, 4, 8) and is registered with the
-  * [[SpaceTracker]] so Tables IV/V space metrics can be reproduced.
+  * Each `CREATE TABLE` of the script is a [[SpaceTracker.materialize]]d
+  * query registered as a temp view of this run, so Tables IV/V space
+  * metrics can be reproduced; every view is dropped when the run ends.
   */
 final case class RandomisedContraction(method: Randomisation = FiniteField64,
                                        variant: Variant = Variant.Fast) extends CcAlgorithm {
@@ -48,153 +49,141 @@ final case class RandomisedContraction(method: Randomisation = FiniteField64,
   override def run(edges: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
     val spark = edges.sparkSession
     GfFunctions.ensureRegistered(spark)
-    val rng = new Random(seed)
-
-    val (e0, e0Rows) = tracker.materialize("E0", GraphOps.undirect(GraphOps.asEdges(edges)))
-    if (e0Rows == 0L) return CcRun(emptyLabels(spark), 0, tracker)
-
-    variant match {
-      case Variant.Deterministic => runDeterministic(e0, tracker, rng)
-      case Variant.Fast          => runFast(e0, tracker, rng)
-    }
+    val t = new RunTables(spark, tracker)
+    try runScript(t, edges, new Random(seed))
+    finally t.dropAll()
   }
 
-  private def emptyLabels(spark: SparkSession): DataFrame =
-    spark.range(0).select(col("id").as("v"), col("id").as("r"))
+  /** The script: contraction rounds until E is empty, then the labels. */
+  private def runScript(t: RunTables, edges: DataFrame, rng: Random): CcRun = {
+    var rows = t.create("E0", GraphOps.undirect(GraphOps.asEdges(edges)))
+    if (rows == 0L) return CcRun(t.sql("select id as v, id as r from range(0)"), 0, t.tracker)
 
-  /** Representative table R: `select v, least(h(v), min(h(w))) from E group by v`.
+    var e     = "E0"
+    var l     = ""                                              // Fig. 3: running L
+    val stack = mutable.Stack.empty[(String, AffineRoundHash)] // Fig. 4: R_i with h_i
+    var round = 0
+    while (rows != 0L) {
+      round += 1
+      require(round <= MaxRounds, s"$name did not converge in $MaxRounds rounds")
+      val r = s"R$round"
+      val h = representatives(t, e, r, round, rng)
+      rows = t.create(s"E$round",
+        s"""select distinct r1.r as v, r2.r as w
+           |from ${t(e)} g join ${t(r)} r1 on g.v = r1.v join ${t(r)} r2 on g.w = r2.v
+           |where r1.r != r2.r""".stripMargin)
+      t.drop(e)
+      t.tracker.recordRound(rows)
+      e = s"E$round"
+      variant match {
+        case Variant.Deterministic if l.isEmpty => l = r // L := R_1 (rename, no rewrite)
+        case Variant.Deterministic =>
+          compose(t, s"L$round", l, r, h)
+          l = s"L$round"
+        case Variant.Fast => h match {
+          case affine: AffineRoundHash => stack.push(r -> affine)
+          case _ => throw new IllegalArgumentException(
+            s"Fast variant (Fig. 4) needs an affine method for the (A,B) accumulator; ${method.name} is not")
+        }
+      }
+    }
+
+    val labels = variant match {
+      case Variant.Deterministic => l
+      case Variant.Fast          => composeBackToFront(t, stack)
+    }
+    CcRun(t.sql(s"select v, r from ${t(labels)}"), round, t.tracker)
+  }
+
+  /** Fig. 4's second loop: R_i := R_i ⟕ R_{i+1} from the top of the stack
+    * down, unmatched rows getting the accumulated relabelling
+    * h_k ∘ … ∘ h_{i+1}. Returns the table holding the labels.
+    */
+  private def composeBackToFront(t: RunTables, stack: mutable.Stack[(String, AffineRoundHash)]): String = {
+    var (cur, acc) = stack.pop()
+    while (stack.nonEmpty) {
+      val (ri, hi) = stack.pop()
+      val c        = s"C${stack.size + 1}"
+      compose(t, c, ri, cur, acc)
+      cur = c
+      acc = acc.compose(hi)
+    }
+    cur
+  }
+
+  /** Materialise R_i (`select v, least(h(v), min(h(w))) from E group by v`)
+    * and return the relabelling that composition applies to unmatched rows.
     *
-    * For the min-based methods the representative IS the h-value — the paper's
+    * For the hash methods the representative IS the h-value — the paper's
     * performance optimisation that relabels vertices each round (valid because
     * h_i is a bijection). The random-reals method instead materialises the
     * per-vertex random table and takes an argmin, keeping original IDs.
     */
-  private def representatives(e: DataFrame, h: RoundHash, round: Int,
-                              tracker: SpaceTracker, rng: Random): (DataFrame, Long) =
-    method match {
-      case RandomReals =>
-        val verts       = e.select(col("v")).distinct()
-        val (hTab, _)   = tracker.materialize(s"H$round", verts.select(col("v"), rand(rng.nextLong()).as("h")))
-        val nbrs = e.join(hTab.select(col("v").as("hv"), col("h")), col("w") === col("hv"))
-          .select(col("v"), col("w"), col("h"))
-        val self = hTab.select(col("v"), col("v").as("w"), col("h"))
-        val r    = nbrs.union(self).groupBy(col("v")).agg(min_by(col("w"), col("h")).as("r"))
-        val out  = tracker.materialize(s"R$round", r)
-        tracker.drop(s"H$round")
-        out
-      case _ =>
-        val r = e.groupBy(col("v"))
-          .agg(least(h.hash(col("v")), min(h.hash(col("w")))).as("r"))
-        tracker.materialize(s"R$round", r)
-    }
+  private def representatives(t: RunTables, e: String, r: String, round: Int,
+                              rng: Random): RoundHash = method match {
+    case m: HashMethod =>
+      val h = m.nextRound(rng)
+      t.create(r, s"select v, least(${h.hash("v")}, min(${h.hash("w")})) as r from ${t(e)} group by v")
+      h
+    case RandomReals =>
+      val hTab = s"H$round"
+      t.create(hTab,
+        s"select v, rand(${RandomReals.nextSeed(rng)}L) as h from (select distinct v from ${t(e)})")
+      t.create(r,
+        s"""select v, min_by(w, h) as r from (
+           |  select g.v, g.w, hw.h from ${t(e)} g join ${t(hTab)} hw on g.w = hw.v
+           |  union all select v, v as w, h from ${t(hTab)})
+           |group by v""".stripMargin)
+      t.drop(hTab)
+      x => x // argmin keeps original IDs: no relabelling
+  }
 
-  /** Contraction: map both endpoints through R, drop loops and duplicates.
-    * E stays bidirectional because the input was (both orientations map).
+  /** `out := x ⟕ y`: each vertex of x takes y's representative of its label;
+    * labels y does not hold (vertices that went isolated earlier) are only
+    * relabelled by h. Fig. 3 composes L with R_i, Fig. 4 R_i with R_{i+1}.
+    * Drops x and y.
     */
-  private def contract(e: DataFrame, r: DataFrame): DataFrame = {
-    val rv = r.select(col("v").as("rv_v"), col("r").as("rv_r"))
-    val rw = r.select(col("v").as("rw_v"), col("r").as("rw_r"))
-    e.join(rv, col("v") === col("rv_v"))
-      .join(rw, col("w") === col("rw_v"))
-      .where(col("rv_r") =!= col("rw_r"))
-      .select(col("rv_r").as("v"), col("rw_r").as("w"))
-      .distinct()
+  private def compose(t: RunTables, out: String, x: String, y: String, h: RoundHash): Unit = {
+    t.create(out,
+      s"select x.v, coalesce(y.r, ${h.hash("x.r")}) as r from ${t(x)} x left join ${t(y)} y on x.r = y.v")
+    t.drop(x)
+    t.drop(y)
+  }
+}
+
+/** The tables of one run: table `T` of the paper's script is the temp view
+  * `rc<n>_T`, with n unique per run so concurrent runs never share a view.
+  */
+private final class RunTables(spark: SparkSession, val tracker: SpaceTracker) {
+  private val prefix = s"rc${RunTables.runs.incrementAndGet()}_"
+  private val views  = mutable.LinkedHashSet.empty[String]
+
+  /** The view name of `table`, for SQL text. */
+  def apply(table: String): String = prefix + table
+
+  def sql(query: String): DataFrame = spark.sql(query)
+
+  /** `create table <table> as <query>`: materialise, account and register. */
+  def create(table: String, query: String): Long = create(table, sql(query))
+
+  def create(table: String, df: DataFrame): Long = {
+    val (out, rows) = tracker.materialize(table, df)
+    out.createOrReplaceTempView(apply(table))
+    views += apply(table)
+    rows
   }
 
-  /** Compose the running table L with this round's R (Fig. 3's inner join):
-    * matched rows take the new representative; unmatched rows (vertices that
-    * went isolated in an earlier round) only get relabelled by h_i.
-    */
-  private def composeL(l: DataFrame, r: DataFrame, h: RoundHash): DataFrame = {
-    val rr = r.select(col("v").as("c_v"), col("r").as("c_r"))
-    val relabelled = method match {
-      case RandomReals => col("r") // argmin keeps original IDs: no relabelling
-      case _           => h.hash(col("r"))
-    }
-    l.join(rr, col("r") === col("c_v"), "left_outer")
-      .select(col("v"), coalesce(col("c_r"), relabelled).as("r"))
+  /** `drop table <table>`. */
+  def drop(table: String): Unit = {
+    tracker.drop(table)
+    spark.catalog.dropTempView(apply(table))
+    views -= apply(table)
   }
 
-  /** Fig. 3: deterministic-space variant. */
-  private def runDeterministic(e0: DataFrame, tracker: SpaceTracker, rng: Random): CcRun = {
-    var e      = e0
-    var eName  = "E0"
-    var l: DataFrame = null
-    var lName  = ""
-    var round  = 0
-    var done   = false
-    while (!done) {
-      round += 1
-      require(round <= MaxRounds, s"$name did not converge in $MaxRounds rounds")
-      val h            = method.nextRound(rng)
-      val (r, _)       = representatives(e, h, round, tracker, rng)
-      val (t, tRows)   = tracker.materialize(s"E$round", contract(e, r))
-      tracker.drop(eName)
-      tracker.recordRound(tRows)
-      e = t; eName = s"E$round"
-      if (l == null) {
-        l = r; lName = s"R$round" // first round: L := R (rename, no rewrite)
-      } else {
-        val (nl, _) = tracker.materialize(s"L$round", composeL(l, r, h))
-        tracker.drop(lName)
-        tracker.drop(s"R$round")
-        l = nl; lName = s"L$round"
-      }
-      if (tRows == 0L) done = true
-    }
-    CcRun(l.select(col("v"), col("r")), round, tracker)
-  }
+  /** Drops every view still registered: the result's, and all on failure. */
+  def dropAll(): Unit = views.foreach(spark.catalog.dropTempView)
+}
 
-  /** Fig. 4: fast variant — keep every R_i, compose back-to-front with the
-    * affine accumulator so each join is small-to-large.
-    */
-  private def runFast(e0: DataFrame, tracker: SpaceTracker, rng: Random): CcRun = {
-    val rs     = ArrayBuffer.empty[(DataFrame, AffineRoundHash)]
-    var e      = e0
-    var eName  = "E0"
-    var round  = 0
-    var done   = false
-    while (!done) {
-      round += 1
-      require(round <= MaxRounds, s"$name did not converge in $MaxRounds rounds")
-      val h = method.nextRound(rng) match {
-        case a: AffineRoundHash => a
-        case other => throw new IllegalArgumentException(
-          s"Fast variant (Fig. 4) needs an affine method for the (A,B) accumulator; ${method.name} is not")
-      }
-      val (r, _)     = representatives(e, h, round, tracker, rng)
-      rs += ((r, h))
-      val (t, tRows) = tracker.materialize(s"E$round", contract(e, r))
-      tracker.drop(eName)
-      tracker.recordRound(tRows)
-      e = t; eName = s"E$round"
-      if (tRows == 0L) done = true
-    }
-
-    // Back-to-front composition: R_i := R_i ⟕ R_{i+1}, unmatched rows get the
-    // accumulated relabelling h_k ∘ … ∘ h_{i+1}.
-    val k = rs.length
-    var acc: AffineRoundHash = method match {
-      case FiniteField64    => FiniteField64.identity
-      case FinitePrimeField => FinitePrimeField.identity
-      case other            => throw new IllegalStateException(s"unreachable: ${other.name}")
-    }
-    var cur     = rs(k - 1)._1
-    var curName = s"R$k"
-    var i       = k - 1
-    while (i >= 1) {
-      acc = acc.compose(rs(i)._2) // h_{i+1} in 1-indexed terms
-      val prev     = rs(i - 1)._1
-      val prevName = s"R$i"
-      val next     = cur.select(col("v").as("c_v"), col("r").as("c_r"))
-      val joined = prev.join(next, col("r") === col("c_v"), "left_outer")
-        .select(col("v"), coalesce(col("c_r"), acc.hash(col("r"))).as("r"))
-      val (nr, _) = tracker.materialize(s"C$i", joined)
-      tracker.drop(prevName)
-      tracker.drop(curName)
-      cur = nr; curName = s"C$i"
-      i -= 1
-    }
-    CcRun(cur.select(col("v"), col("r")), k, tracker)
-  }
+private object RunTables {
+  private val runs = new AtomicLong
 }

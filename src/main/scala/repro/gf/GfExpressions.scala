@@ -1,7 +1,7 @@
 package repro.gf
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.{FunctionIdentifier, InternalRow}
 import org.apache.spark.sql.catalyst.expressions.Expression
 import org.apache.spark.sql.catalyst.expressions.codegen.CodegenFallback
 import org.apache.spark.sql.types.{DataType, LongType}
@@ -71,12 +71,9 @@ case class XteaEnc(children: Seq[Expression]) extends LongNaryExpression {
 
 /** Registers the repro functions in a session's FunctionRegistry (idempotent). */
 object GfFunctions {
-  private val registered = java.util.Collections.synchronizedSet(new java.util.HashSet[String]())
-
   def ensureRegistered(spark: SparkSession): Unit = {
-    val key = String.valueOf(System.identityHashCode(spark))
-    if (registered.add(key)) {
-      val reg = spark.sessionState.functionRegistry
+    val reg = spark.sessionState.functionRegistry
+    if (!reg.functionExists(FunctionIdentifier("gf64_axb"))) {
       reg.createOrReplaceTempFunction("gf64_axb", exprs => Gf64AxPlusB(exprs), "scala_udf")
       reg.createOrReplaceTempFunction("modp_axb", exprs => ModPAxPlusB(exprs), "scala_udf")
       reg.createOrReplaceTempFunction("xtea_enc", exprs => XteaEnc(exprs), "scala_udf")

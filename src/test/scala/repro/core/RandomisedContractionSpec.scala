@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.ReproSpec
-import repro.graph.GraphOps
+import repro.graph.{BlowUpException, GraphOps, SpaceTracker}
 import repro.testutil.Graphs
 
 /** Correctness of Randomised Contraction across the full configuration
@@ -15,7 +15,7 @@ class RandomisedContractionSpec extends ReproSpec {
   private val variants: Seq[(String, Variant)] =
     Seq("fast (Fig. 4)" -> Variant.Fast, "deterministic (Fig. 3)" -> Variant.Deterministic)
 
-  // Fast requires an affine method (the (A,B) accumulator); GF(p) needs small IDs.
+  // Fast requires an affine method (the (A,B) accumulator); GF(p) needs IDs in [0, p).
   private val configs: Seq[(String, Randomisation, Variant, Boolean)] = Seq(
     ("gf64/fast",     FiniteField64,    Variant.Fast,          false),
     ("gf64/det",      FiniteField64,    Variant.Deterministic, false),
@@ -25,11 +25,20 @@ class RandomisedContractionSpec extends ReproSpec {
     ("randreals/det", RandomReals,      Variant.Deterministic, false),
   )
 
-  for ((cfgName, method, variant, needsSmallIds) <- configs;
-       g <- Graphs.zoo if !needsSmallIds || g.smallIds) {
-    test(s"$cfgName labels ${g.name} correctly") {
-      val run = RandomisedContraction(method, variant).run(Graphs.toDf(spark, g.edges), seed = 5L)
-      Graphs.assertPartition(run.labels, g.edges)
+  for ((cfgName, method, variant, needsSmallIds) <- configs; g <- Graphs.zoo) {
+    if (!needsSmallIds || g.smallIds) {
+      test(s"$cfgName labels ${g.name} correctly") {
+        val run = RandomisedContraction(method, variant).run(Graphs.toDf(spark, g.edges), seed = 5L)
+        Graphs.assertPartition(run.labels, g.edges)
+      }
+    } else {
+      test(s"$cfgName rejects ${g.name} (IDs outside [0, 2^31-1))") {
+        val e = intercept[Exception] {
+          RandomisedContraction(method, variant).run(Graphs.toDf(spark, g.edges), seed = 5L)
+        }
+        assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+          .exists(c => String.valueOf(c.getMessage).contains("outside [0, 2147483647) of GF(p)")), e)
+      }
     }
   }
 
@@ -115,5 +124,33 @@ class RandomisedContractionSpec extends ReproSpec {
     // BFS/deterministic contraction would need n-1 = 511 rounds; randomised
     // contraction is expected ~log_{4/3}(512) ≈ 22, allow generous slack.
     assert(run.rounds < 60, s"took ${run.rounds} rounds on a 512-path")
+  }
+
+  test("every temp view of a run is dropped: normal, empty and blown-up runs") {
+    def views() = spark.catalog.listTables().collect().map(_.name).toSet
+    val edges = Graphs.randomGnp(40, 0.08, 12)
+    for (variant <- Seq(Variant.Fast, Variant.Deterministic)) {
+      val before = views()
+      val rc     = RandomisedContraction(FiniteField64, variant)
+      Graphs.assertPartition(rc.run(Graphs.toDf(spark, edges), seed = 1L).labels, edges)
+      assert(views() == before)
+      assert(rc.run(Graphs.toDf(spark, Seq.empty), seed = 1L).labels.count() == 0L)
+      assert(views() == before)
+      // E0 (both orientations) and R1 (one row per vertex) fit under the cap; E1 does not.
+      val tracker = new SpaceTracker(capRows = 2L * edges.size + 40L)
+      assertThrows[BlowUpException](rc.run(Graphs.toDf(spark, edges), tracker, seed = 1L))
+      assert(tracker.totalWrittenRows > 2L * edges.size + 40L)
+      assert(views() == before)
+    }
+  }
+
+  test("runs on a new session, which starts without the repro functions") {
+    val session = spark.newSession()
+    session.conf.set("spark.sql.shuffle.partitions", "4")
+    val edges   = Graphs.zoo.find(_.name == "mixed").get.edges
+    for (method <- Seq(FiniteField64, Encryption)) {
+      val run = RandomisedContraction(method, Variant.Deterministic).run(Graphs.toDf(session, edges), seed = 2L)
+      Graphs.assertPartition(run.labels, edges)
+    }
   }
 }

@@ -44,6 +44,8 @@ object Graphs {
     G("huge-ids", Seq((1L << 62, (1L << 62) + 1), ((1L << 62) + 1, (1L << 62) + 2),
       (42L, 43L)), smallIds = false),
     G("negative-ids", Seq((-5L, -4L), (-4L, 3L), (-100L, -100L)), smallIds = false),
+    // Isolated 0 and p = 2^31-1: the two IDs GF(p)'s map sends to the same value.
+    G("ids-0-and-2^31-1", Seq((0L, 0L), (Int.MaxValue.toLong, Int.MaxValue.toLong)), smallIds = false),
   )
 
   /** A G(n, p) random graph with loop edges added for isolated vertices. */
