@@ -2,8 +2,8 @@ package repro.baselines
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.core.{CcAlgorithm, CcRun}
-import repro.graph.{GraphOps, SpaceTracker}
+import repro.core.{CcAlgorithm, CcRun, Rounds}
+import repro.graph.{GraphOps, SpaceTracker, Table}
 
 /** Cracker [Lulli et al., TPDS 2017] — vertex-pruning CC, the Spark-native
   * comparator in the paper. Reimplemented from the paper's description
@@ -28,80 +28,67 @@ import repro.graph.{GraphOps, SpaceTracker}
 case object Cracker extends CcAlgorithm {
   override val name = "CR"
 
-  private val MaxRounds = 10000
-
   override def run(edges: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
     val spark = edges.sparkSession
     val raw   = GraphOps.asEdges(edges)
     val verts = GraphOps.vertices(raw).localCheckpoint(true)
 
     // Bidirectional, loop-free working graph.
-    var (g, gRows) = tracker.materialize("G0", GraphOps.undirect(GraphOps.canonical(raw)))
-    var gName = "G0"
-    var trees = List.empty[(DataFrame, String)] // accumulated tree-edge tables
-    var round = 0
-    while (gRows > 0L) {
-      round += 1
-      require(round <= MaxRounds, s"$name did not converge in $MaxRounds rounds")
+    var g     = tracker.materialize("G0", GraphOps.undirect(GraphOps.canonical(raw)))
+    var trees = List.empty[Table] // accumulated tree-edge tables
+    val rounds = Rounds(name)(g.rows > 0L) { round =>
       // 1. Min-Selection: vmin over the closed neighbourhood, told to N[u].
-      val m = g.groupBy(col("v")).agg(least(col("v"), min(col("w"))).as("vmin"))
-      val h = g.join(m, "v").select(col("w").as("node"), col("vmin"))
+      val m = g.df.groupBy(col("v")).agg(least(col("v"), min(col("w"))).as("vmin"))
+      val h = g.df.join(m, "v").select(col("w").as("node"), col("vmin"))
         .union(m.select(col("v").as("node"), col("vmin")))
         .distinct()
-      val (hm, _) = tracker.materialize(s"H$round", h)
+      val hm = tracker.materialize(s"H$round", h)
 
       // 2. Pruning: per node, the min of the heard-of minima, and whether the
       // node itself is among them (i.e. survives as a seed candidate).
-      val a = hm.groupBy(col("node")).agg(
+      val a = hm.df.groupBy(col("node")).agg(
         min(col("vmin")).as("vmin2"),
         max(when(col("vmin") === col("node"), 1).otherwise(0)).as("is_cand"))
-      val (am, _) = tracker.materialize(s"A$round", a)
+      val am = tracker.materialize(s"A$round", a)
 
       // Only pruned nodes enter the propagation tree. A never-pruned node is
       // its component's root and labels itself in the final coalesce — adding
       // explicit (root, root) rows here would duplicate each round the root
       // survives and blow up the pointer-jumping joins.
-      val pruned = am.where(col("is_cand") === 0)
+      val pruned = am.df.where(col("is_cand") === 0)
         .select(col("node").as("child"), col("vmin2").as("parent"))
-      val (t, _) = tracker.materialize(s"T$round", pruned)
-      trees ::= ((t, s"T$round"))
+      trees ::= tracker.materialize(s"T$round", pruned)
 
       // Next graph: connect every heard-of minimum to the node's overall
       // minimum (bidirectional for the next Min-Selection).
-      val nextDirected = hm.join(am, "node").where(col("vmin") =!= col("vmin2"))
+      val nextDirected = hm.df.join(am.df, "node").where(col("vmin") =!= col("vmin2"))
         .select(col("vmin").as("v"), col("vmin2").as("w"))
-      val (ng, ngRows) = tracker.materialize(s"G$round", GraphOps.undirect(nextDirected).distinct())
-      tracker.drop(s"H$round"); tracker.drop(s"A$round"); tracker.drop(gName)
-      tracker.recordRound(ngRows)
-      g = ng; gRows = ngRows; gName = s"G$round"
+      val ng = tracker.materialize(s"G$round", GraphOps.undirect(nextDirected).distinct())
+      tracker.drop(hm); tracker.drop(am); tracker.drop(g)
+      tracker.recordRound(ng.rows)
+      g = ng
+      g.rows > 0L
     }
-    tracker.drop(gName)
+    tracker.drop(g)
 
     // Propagate labels down the forest by pointer jumping.
-    val allTrees = trees.map(_._1) match {
-      case Nil          => spark.range(0).select(col("id").as("child"), col("id").as("parent"))
-      case head :: tail => tail.foldLeft(head)(_ union _)
-    }
-    var (p, _) = tracker.materialize("P", allTrees)
-    trees.foreach { case (_, n) => tracker.drop(n) }
-    var hops  = 0
-    var stable = false
-    while (!stable) {
-      hops += 1
-      require(hops <= 64, s"$name label propagation did not converge")
-      val gp = p.select(col("child").as("c2"), col("parent").as("gp"))
-      val jumped = p.join(gp, p("parent") === gp("c2"), "left_outer")
+    val allTrees = trees.map(_.df).reduceOption(_ union _)
+      .getOrElse(spark.range(0).select(col("id").as("child"), col("id").as("parent")))
+    var p = tracker.materialize("P", allTrees)
+    trees.foreach(tracker.drop)
+    Rounds(s"$name label propagation", 64)(true) { hops =>
+      val gp = p.df.select(col("child").as("c2"), col("parent").as("gp"))
+      val jumped = p.df.join(gp, p.df("parent") === gp("c2"), "left_outer")
         .select(col("child"), coalesce(col("gp"), col("parent")).as("parent"))
-      val (np, _) = tracker.materialize(s"P$hops", jumped)
-      val changed = np.as("a").join(p.as("b"), col("a.child") === col("b.child"))
+      val np = tracker.materialize(s"P$hops", jumped)
+      val changed = np.df.as("a").join(p.df.as("b"), col("a.child") === col("b.child"))
         .where(col("a.parent") =!= col("b.parent")).limit(1).count()
-      tracker.drop(if (hops == 1) "P" else s"P${hops - 1}")
+      tracker.drop(p)
       p = np
-      if (changed == 0L) stable = true
+      changed != 0L
     }
 
-    val labels = verts.join(p.select(col("child").as("v"), col("parent").as("r")), Seq("v"), "left_outer")
-      .select(col("v"), coalesce(col("r"), col("v")).as("r"))
-    CcRun(labels, round, tracker)
+    val labels = GraphOps.labelOrSelf(verts, p.df.select(col("child").as("v"), col("parent").as("r")))
+    CcRun(labels, rounds, tracker)
   }
 }

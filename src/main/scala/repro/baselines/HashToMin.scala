@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.core.{CcAlgorithm, CcRun}
+import repro.core.{CcAlgorithm, CcRun, Rounds}
 import repro.graph.{GraphOps, SpaceTracker}
 
 /** Hash-to-Min [Rastogi et al., ICDE 2013] — the strongest practical
@@ -22,32 +22,26 @@ import repro.graph.{GraphOps, SpaceTracker}
 case object HashToMin extends CcAlgorithm {
   override val name = "HM"
 
-  private val MaxRounds = 10000
-
   override def run(edges: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
     val e     = GraphOps.asEdges(edges)
     val init  = GraphOps.undirect(e)
       .union(GraphOps.vertices(e).select(col("v"), col("v").as("w")))
       .distinct()
       .select(col("v"), col("w").as("u"))
-    var (c, cRows) = tracker.materialize("C0", init)
-    var round = 0
-    var done  = cRows == 0L
-    while (!done) {
-      round += 1
-      require(round <= MaxRounds, s"$name did not converge in $MaxRounds rounds")
-      val m  = c.groupBy(col("v")).agg(min(col("u")).as("m"))
-      val cm = c.join(m, "v") // (v, u, m)
-      val toMin  = cm.select(col("m").as("v"), col("u"))
-      val minTo  = cm.select(col("u").as("v"), col("m").as("u"))
-      val (nc, ncRows) = tracker.materialize(s"C$round", toMin.union(minTo).distinct())
-      tracker.recordRound(ncRows)
+    var c = tracker.materialize("C0", init)
+    val rounds = Rounds(name)(c.rows != 0L) { round =>
+      val m  = c.df.groupBy(col("v")).agg(min(col("u")).as("m"))
+      val cm = c.df.join(m, "v") // (v, u, m)
+      val toMin = cm.select(col("m").as("v"), col("u"))
+      val minTo = cm.select(col("u").as("v"), col("m").as("u"))
+      val nc    = tracker.materialize(s"C$round", toMin.union(minTo).distinct())
+      tracker.recordRound(nc.rows)
       // Fixpoint test: nc ⊆ c and |nc| = |c|  ⇒  equal as sets.
-      if (ncRows == cRows && nc.except(c).isEmpty) done = true
-      tracker.drop(s"C${round - 1}")
-      c = nc; cRows = ncRows
+      val fixpoint = nc.rows == c.rows && nc.df.except(c.df).isEmpty
+      tracker.drop(c)
+      c = nc
+      !fixpoint
     }
-    val labels = c.groupBy(col("v")).agg(min(col("u")).as("r"))
-    CcRun(labels, round, tracker)
+    CcRun(c.df.groupBy(col("v")).agg(min(col("u")).as("r")), rounds, tracker)
   }
 }

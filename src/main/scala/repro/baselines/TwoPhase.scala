@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.core.{CcAlgorithm, CcRun}
+import repro.core.{CcAlgorithm, CcRun, Rounds}
 import repro.graph.{GraphOps, SpaceTracker}
 
 /** Two-Phase / alternating star algorithm [Kiveris et al., SoCC 2014] —
@@ -21,8 +21,6 @@ import repro.graph.{GraphOps, SpaceTracker}
   */
 case object TwoPhase extends CcAlgorithm {
   override val name = "TP"
-
-  private val MaxRounds = 10000
 
   private def largeStar(e: DataFrame): DataFrame = {
     val b = GraphOps.undirect(e)
@@ -45,26 +43,21 @@ case object TwoPhase extends CcAlgorithm {
   override def run(edges: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
     val raw   = GraphOps.asEdges(edges)
     val verts = GraphOps.vertices(raw).localCheckpoint(true)
-    var (e, eRows) = tracker.materialize("E0", GraphOps.canonical(raw))
-    var eName = "E0"
-    var round = 0
-    var done  = eRows == 0L
-    while (!done) {
-      require(round <= MaxRounds, s"$name did not converge in $MaxRounds rounds")
-      val (ls, _)        = tracker.materialize(s"L$round", largeStar(e))
-      val (ss, ssRows)   = tracker.materialize(s"S$round", smallStar(ls))
-      tracker.drop(s"L$round")
-      tracker.recordRound(ssRows)
-      val unchanged = ssRows == eRows && ss.except(e).isEmpty
-      tracker.drop(eName)
-      e = ss; eRows = ssRows; eName = s"S$round"
-      round += 2 // one large-star step + one small-star step
-      if (unchanged) done = true
+    var e     = tracker.materialize("E0", GraphOps.canonical(raw))
+    // One step is two rounds, a large-star and a small-star; its tables are
+    // numbered by the round it starts at.
+    val rounds = Rounds(name, perStep = 2)(e.rows != 0L) { round =>
+      val ls = tracker.materialize(s"L${round - 2}", largeStar(e.df))
+      val ss = tracker.materialize(s"S${round - 2}", smallStar(ls.df))
+      tracker.drop(ls)
+      tracker.recordRound(ss.rows)
+      val unchanged = ss.rows == e.rows && ss.df.except(e.df).isEmpty
+      tracker.drop(e)
+      e = ss
+      !unchanged
     }
     // Fixpoint edges are (leaf, centre) stars; every non-centre has one parent.
-    val parents = e.groupBy(col("v")).agg(min(col("w")).as("p"))
-    val labels = verts.join(parents, Seq("v"), "left_outer")
-      .select(col("v"), coalesce(col("p"), col("v")).as("r"))
-    CcRun(labels, round, tracker)
+    val parents = e.df.groupBy(col("v")).agg(min(col("w")).as("r"))
+    CcRun(GraphOps.labelOrSelf(verts, parents), rounds, tracker)
   }
 }

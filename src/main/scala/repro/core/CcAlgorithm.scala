@@ -34,3 +34,28 @@ trait CcAlgorithm {
   final def run(edges: DataFrame, seed: Long = 42L): CcRun =
     run(edges, new SpaceTracker(algoName = name), seed)
 }
+
+/** The round loop of every algorithm: the paper's scripts repeat a block of
+  * `CREATE TABLE` / `DROP TABLE` statements until a test on the new tables
+  * says the work is done.
+  */
+object Rounds {
+  /** Runs `step(round)` while `start` (before the first round) or the last
+    * step's result asks for another round, and fails the run once more than
+    * `max` rounds would be needed. Each step counts as `perStep` rounds. The
+    * default `max` is a safety valve only: RC and its comparators expect
+    * O(log |V|) or O(log² |V|) rounds.
+    *
+    * @return the rounds run
+    */
+  def apply(algo: String, max: Int = 10000, perStep: Int = 1)(start: Boolean)(step: Int => Boolean): Int = {
+    var round = 0
+    var more  = start
+    while (more) {
+      round += perStep
+      require(round <= max, s"$algo did not converge in $max rounds")
+      more = step(round)
+    }
+    round
+  }
+}

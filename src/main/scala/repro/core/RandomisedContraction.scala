@@ -3,7 +3,7 @@ package repro.core
 import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.gf.GfFunctions
-import repro.graph.{GraphOps, SpaceTracker}
+import repro.graph.{GraphOps, SpaceTracker, Table}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -35,9 +35,6 @@ object Variant {
 final case class RandomisedContraction(method: Randomisation = FiniteField64,
                                        variant: Variant = Variant.Fast) extends CcAlgorithm {
 
-  /** Safety valve only — the expected round count is logarithmic. */
-  private val MaxRounds = 10000
-
   override def name: String = {
     val base = variant match {
       case Variant.Fast          => "RC"
@@ -56,86 +53,79 @@ final case class RandomisedContraction(method: Randomisation = FiniteField64,
 
   /** The script: contraction rounds until E is empty, then the labels. */
   private def runScript(t: RunTables, edges: DataFrame, rng: Random): CcRun = {
-    var rows = t.create("E0", GraphOps.undirect(GraphOps.asEdges(edges)))
-    if (rows == 0L) return CcRun(t.sql("select id as v, id as r from range(0)"), 0, t.tracker)
+    var e = t.create("E0", GraphOps.undirect(GraphOps.asEdges(edges)))
+    if (e.rows == 0L) return CcRun(t.sql("select id as v, id as r from range(0)"), 0, t.tracker)
 
-    var e     = "E0"
-    var l     = ""                                              // Fig. 3: running L
-    val stack = mutable.Stack.empty[(String, AffineRoundHash)] // Fig. 4: R_i with h_i
-    var round = 0
-    while (rows != 0L) {
-      round += 1
-      require(round <= MaxRounds, s"$name did not converge in $MaxRounds rounds")
-      val r = s"R$round"
-      val h = representatives(t, e, r, round, rng)
-      rows = t.create(s"E$round",
+    var l     = Option.empty[Table]                            // Fig. 3: running L
+    val stack = mutable.Stack.empty[(Table, AffineRoundHash)] // Fig. 4: R_i with h_i
+    val rounds = Rounds(name)(true) { round =>
+      val (r, h) = representatives(t, e, round, rng)
+      val next = t.create(s"E$round",
         s"""select distinct r1.r as v, r2.r as w
            |from ${t(e)} g join ${t(r)} r1 on g.v = r1.v join ${t(r)} r2 on g.w = r2.v
            |where r1.r != r2.r""".stripMargin)
       t.drop(e)
-      t.tracker.recordRound(rows)
-      e = s"E$round"
+      t.tracker.recordRound(next.rows)
+      e = next
       variant match {
-        case Variant.Deterministic if l.isEmpty => l = r // L := R_1 (rename, no rewrite)
-        case Variant.Deterministic =>
-          compose(t, s"L$round", l, r, h)
-          l = s"L$round"
+        // L := R_1 (rename, no rewrite), then L_i := L ⟕ R_i.
+        case Variant.Deterministic => l = Some(l.fold(r)(compose(t, s"L$round", _, r, h)))
         case Variant.Fast => h match {
           case affine: AffineRoundHash => stack.push(r -> affine)
           case _ => throw new IllegalArgumentException(
             s"Fast variant (Fig. 4) needs an affine method for the (A,B) accumulator; ${method.name} is not")
         }
       }
+      e.rows != 0L
     }
 
     val labels = variant match {
-      case Variant.Deterministic => l
+      case Variant.Deterministic => l.get
       case Variant.Fast          => composeBackToFront(t, stack)
     }
-    CcRun(t.sql(s"select v, r from ${t(labels)}"), round, t.tracker)
+    CcRun(t.sql(s"select v, r from ${t(labels)}"), rounds, t.tracker)
   }
 
   /** Fig. 4's second loop: R_i := R_i ⟕ R_{i+1} from the top of the stack
     * down, unmatched rows getting the accumulated relabelling
     * h_k ∘ … ∘ h_{i+1}. Returns the table holding the labels.
     */
-  private def composeBackToFront(t: RunTables, stack: mutable.Stack[(String, AffineRoundHash)]): String = {
+  private def composeBackToFront(t: RunTables, stack: mutable.Stack[(Table, AffineRoundHash)]): Table = {
     var (cur, acc) = stack.pop()
     while (stack.nonEmpty) {
       val (ri, hi) = stack.pop()
-      val c        = s"C${stack.size + 1}"
-      compose(t, c, ri, cur, acc)
-      cur = c
+      cur = compose(t, s"C${stack.size + 1}", ri, cur, acc)
       acc = acc.compose(hi)
     }
     cur
   }
 
   /** Materialise R_i (`select v, least(h(v), min(h(w))) from E group by v`)
-    * and return the relabelling that composition applies to unmatched rows.
+    * and return it with the relabelling that composition applies to
+    * unmatched rows.
     *
     * For the hash methods the representative IS the h-value — the paper's
     * performance optimisation that relabels vertices each round (valid because
     * h_i is a bijection). The random-reals method instead materialises the
     * per-vertex random table and takes an argmin, keeping original IDs.
     */
-  private def representatives(t: RunTables, e: String, r: String, round: Int,
-                              rng: Random): RoundHash = method match {
+  private def representatives(t: RunTables, e: Table, round: Int,
+                              rng: Random): (Table, RoundHash) = method match {
     case m: HashMethod =>
       val h = m.nextRound(rng)
-      t.create(r, s"select v, least(${h.hash("v")}, min(${h.hash("w")})) as r from ${t(e)} group by v")
-      h
+      val r = t.create(s"R$round",
+        s"select v, least(${h.hash("v")}, min(${h.hash("w")})) as r from ${t(e)} group by v")
+      r -> h
     case RandomReals =>
-      val hTab = s"H$round"
-      t.create(hTab,
+      val hTab = t.create(s"H$round",
         s"select v, rand(${RandomReals.nextSeed(rng)}L) as h from (select distinct v from ${t(e)})")
-      t.create(r,
+      val r = t.create(s"R$round",
         s"""select v, min_by(w, h) as r from (
            |  select g.v, g.w, hw.h from ${t(e)} g join ${t(hTab)} hw on g.w = hw.v
            |  union all select v, v as w, h from ${t(hTab)})
            |group by v""".stripMargin)
       t.drop(hTab)
-      x => x // argmin keeps original IDs: no relabelling
+      r -> (x => x) // argmin keeps original IDs: no relabelling
   }
 
   /** `out := x ⟕ y`: each vertex of x takes y's representative of its label;
@@ -143,11 +133,12 @@ final case class RandomisedContraction(method: Randomisation = FiniteField64,
     * relabelled by h. Fig. 3 composes L with R_i, Fig. 4 R_i with R_{i+1}.
     * Drops x and y.
     */
-  private def compose(t: RunTables, out: String, x: String, y: String, h: RoundHash): Unit = {
-    t.create(out,
+  private def compose(t: RunTables, out: String, x: Table, y: Table, h: RoundHash): Table = {
+    val composed = t.create(out,
       s"select x.v, coalesce(y.r, ${h.hash("x.r")}) as r from ${t(x)} x left join ${t(y)} y on x.r = y.v")
     t.drop(x)
     t.drop(y)
+    composed
   }
 }
 
@@ -159,22 +150,22 @@ private final class RunTables(spark: SparkSession, val tracker: SpaceTracker) {
   private val views  = mutable.LinkedHashSet.empty[String]
 
   /** The view name of `table`, for SQL text. */
-  def apply(table: String): String = prefix + table
+  def apply(table: Table): String = prefix + table.name
 
   def sql(query: String): DataFrame = spark.sql(query)
 
-  /** `create table <table> as <query>`: materialise, account and register. */
-  def create(table: String, query: String): Long = create(table, sql(query))
+  /** `create table <name> as <query>`: materialise, account and register. */
+  def create(name: String, query: String): Table = create(name, sql(query))
 
-  def create(table: String, df: DataFrame): Long = {
-    val (out, rows) = tracker.materialize(table, df)
-    out.createOrReplaceTempView(apply(table))
+  def create(name: String, df: DataFrame): Table = {
+    val table = tracker.materialize(name, df)
+    table.df.createOrReplaceTempView(apply(table))
     views += apply(table)
-    rows
+    table
   }
 
   /** `drop table <table>`. */
-  def drop(table: String): Unit = {
+  def drop(table: Table): Unit = {
     tracker.drop(table)
     spark.catalog.dropTempView(apply(table))
     views -= apply(table)

@@ -52,14 +52,6 @@ case class Gf64AxPlusB(children: Seq[Expression]) extends LongNaryExpression {
     copy(children = newChildren)
 }
 
-/** modp_axb(a, x, b) = (a*x + b) mod (2^31 - 1) — the SQL-only variant. */
-case class ModPAxPlusB(children: Seq[Expression]) extends LongNaryExpression {
-  override protected def arity: Int = 3
-  override protected def compute(args: Array[Long]): Long = ModP.axb(args(0), args(1), args(2))
-  override protected def withNewChildrenInternal(newChildren: IndexedSeq[Expression]): Expression =
-    copy(children = newChildren)
-}
-
 /** xtea_enc(x, k0, k1, k2, k3) — 64-bit block encryption of x (encryption method). */
 case class XteaEnc(children: Seq[Expression]) extends LongNaryExpression {
   override protected def arity: Int = 5
@@ -75,7 +67,6 @@ object GfFunctions {
     val reg = spark.sessionState.functionRegistry
     if (!reg.functionExists(FunctionIdentifier("gf64_axb"))) {
       reg.createOrReplaceTempFunction("gf64_axb", exprs => Gf64AxPlusB(exprs), "scala_udf")
-      reg.createOrReplaceTempFunction("modp_axb", exprs => ModPAxPlusB(exprs), "scala_udf")
       reg.createOrReplaceTempFunction("xtea_enc", exprs => XteaEnc(exprs), "scala_udf")
     }
   }

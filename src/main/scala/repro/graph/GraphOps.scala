@@ -41,6 +41,13 @@ object GraphOps {
       .select(least(col(V), col(W)).as(V), greatest(col(V), col(W)).as(W))
       .distinct()
 
+  /** The labelling (v, r) of every vertex in `vertices`: its row of `labels`
+    * (v, r), or itself when `labels` has none — e.g. an isolated vertex, or a
+    * root of Cracker's propagation forest.
+    */
+  def labelOrSelf(vertices: DataFrame, labels: DataFrame): DataFrame =
+    vertices.join(labels, Seq(V), "left_outer").select(col(V), coalesce(col("r"), col(V)).as("r"))
+
   /** Normalise a labelling (v, r) so partitions can be compared.
     *
     * Connected-component labels only need to be *unique per component* (§III)

@@ -10,6 +10,9 @@ import scala.collection.mutable
 final case class BlowUpException(algo: String, liveRows: Long, capRows: Long)
     extends RuntimeException(s"$algo exceeded space cap: $liveRows live rows > cap $capRows")
 
+/** A materialised table: the result of the paper's `CREATE TABLE name AS …`. */
+final case class Table(name: String, df: DataFrame, rows: Long)
+
 /** Accounting for the paper's space metrics (Tables IV and V).
   *
   * Every intermediate an algorithm materialises corresponds to a
@@ -20,19 +23,14 @@ final case class BlowUpException(algo: String, liveRows: Long, capRows: Long)
   *   - maximum live rows at any instant → Table IV "maximum space used";
   *   - total rows ever written          → Table V "total gigabytes written"
   *     (what a transaction would have to retain).
-  *
-  * All tables in every algorithm here are pairs of int64, so bytes are
-  * rows * 16 — compression constants cancel in the input-relative ratios
-  * EXPERIMENTS.md compares.
   */
-final class SpaceTracker(val bytesPerRow: Long = 16L, val capRows: Long = Long.MaxValue,
-                         val algoName: String = "") {
-  private val live               = mutable.LinkedHashMap.empty[String, Long]
-  private var maxLive            = 0L
-  private var written            = 0L
-  private val roundRowsBuf       = mutable.ArrayBuffer.empty[Long]
+final class SpaceTracker(val capRows: Long = Long.MaxValue, val algoName: String = "") {
+  private val live         = mutable.LinkedHashMap.empty[String, Long]
+  private var maxLive      = 0L
+  private var written      = 0L
+  private val roundRowsBuf = mutable.ArrayBuffer.empty[Long]
 
-  /** Materialise a DataFrame (truncating lineage) and record its size.
+  /** Materialise a DataFrame (truncating lineage) as the live table `name`.
     *
     * `localCheckpoint` alone is not enough: Spark copies the *estimated*
     * statistics of the original plan onto the checkpointed LogicalRDD
@@ -43,37 +41,28 @@ final class SpaceTracker(val bytesPerRow: Long = 16L, val capRows: Long = Long.M
     * the checkpointed RDD in a fresh DataFrame resets the stats to the
     * session default each round, keeping planning O(1) per round.
     */
-  def materialize(name: String, df: DataFrame): (DataFrame, Long) = {
+  def materialize(name: String, df: DataFrame): Table = {
+    require(!live.contains(name), s"$algoName: table $name is already live")
     val ck   = df.localCheckpoint(true)
     val out  = df.sparkSession.createDataFrame(ck.rdd, ck.schema)
     val rows = out.count()
-    create(name, rows)
-    (out, rows)
-  }
-
-  /** Record creation of a table of `rows` rows under `name`. */
-  def create(name: String, rows: Long): Unit = {
     live(name) = rows
     written += rows
-    val total = live.valuesIterator.sum
+    val total = liveRows
     if (total > maxLive) maxLive = total
     if (total > capRows) throw BlowUpException(algoName, total, capRows)
+    Table(name, out, rows)
   }
 
-  /** Record dropping the table `name` (space is freed). */
-  def drop(name: String): Unit = live.remove(name)
-
-  /** Record `ALTER TABLE old RENAME TO new` — no data written or freed. */
-  def rename(oldName: String, newName: String): Unit =
-    live.remove(oldName).foreach(rows => live(newName) = rows)
+  /** `DROP TABLE`: the table's space is freed. Only a live table can be dropped. */
+  def drop(table: Table): Unit =
+    require(live.remove(table.name).isDefined, s"$algoName: table ${table.name} is not live")
 
   /** Record the edge-table size after a contraction round (shrink telemetry). */
   def recordRound(edgeRows: Long): Unit = roundRowsBuf += edgeRows
 
   def maxLiveRows: Long        = maxLive
   def totalWrittenRows: Long   = written
-  def maxLiveBytes: Long       = maxLive * bytesPerRow
-  def totalWrittenBytes: Long  = written * bytesPerRow
   def liveRows: Long           = live.valuesIterator.sum
   def roundEdgeRows: Seq[Long] = roundRowsBuf.toSeq
 }

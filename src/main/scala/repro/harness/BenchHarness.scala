@@ -1,7 +1,6 @@
 package repro.harness
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.baselines.{Cracker, HashToMin, TwoPhase}
 import repro.core.{CcAlgorithm, RandomisedContraction}
 import repro.datasets.{BenchDataset, DatasetCatalog}
@@ -36,9 +35,11 @@ object BenchHarness {
     */
   def capRows(inputRows: Long): Long = math.max(2_000_000L, inputRows * 40L)
 
-  /** Stats of a materialised dataset, with exact component count. */
-  final case class DatasetStats(edges: DataFrame, rows: Long, vertices: Long,
-                                components: Long, componentSizes: Map[Long, Long])
+  /** Stats of a materialised dataset, with exact component count; `unionFind`
+    * is the reference every labelling of the dataset is checked against.
+    */
+  final case class DatasetStats(edges: DataFrame, rows: Long, vertices: Long, components: Long,
+                                componentSizes: Map[Long, Long], unionFind: LocalUnionFind)
 
   /** Materialise a dataset and compute its Table II statistics. */
   def prepare(spark: SparkSession, build: SparkSession => DataFrame): DatasetStats = {
@@ -46,10 +47,12 @@ object BenchHarness {
     val rows  = edges.count()
     val local = edges.collect().map(r => (r.getLong(0), r.getLong(1)))
     val uf    = LocalUnionFind.fromEdges(local)
-    DatasetStats(edges, rows, uf.verticesSeen.size.toLong, uf.componentCount, uf.componentSizes)
+    DatasetStats(edges, rows, uf.verticesSeen.size.toLong, uf.componentCount, uf.componentSizes, uf)
   }
 
-  /** Time one algorithm on a prepared dataset; validate the partition. */
+  /** Time one algorithm on a prepared dataset; check its labelling is
+    * union-find's partition (each vertex once, same classes).
+    */
   def runOne(ds: DatasetStats, dataset: String, algo: CcAlgorithm, seed: Long = 42L): BenchResult = {
     val tracker = new SpaceTracker(capRows = capRows(ds.rows), algoName = algo.name)
     val start   = System.nanoTime()
@@ -57,9 +60,8 @@ object BenchHarness {
       val run     = algo.run(ds.edges, tracker, seed)
       val labels  = run.labels.localCheckpoint(true)
       val seconds = (System.nanoTime() - start) / 1e9
-      val nVerts  = labels.count()
-      val nComps  = labels.select(col("r")).distinct().count()
-      val ok      = nVerts == ds.vertices && nComps == ds.components
+      val got     = GraphOps.normalizeLabels(labels).collect().map(r => r.getLong(0) -> r.getLong(1))
+      val ok      = got.length == ds.vertices && got.toMap == ds.unionFind.minLabels
       BenchResult(dataset, algo.name, seconds, run.rounds,
         ds.rows, tracker.maxLiveRows, tracker.totalWrittenRows, if (ok) "ok" else "BAD")
     } catch {

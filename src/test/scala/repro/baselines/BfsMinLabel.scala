@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.core.{CcAlgorithm, CcRun}
+import repro.core.{CcAlgorithm, CcRun, Rounds}
 import repro.graph.{GraphOps, SpaceTracker}
 
 /** The "Breadth First Search" strategy of §IV — iterative minimum-label
@@ -16,29 +16,23 @@ import repro.graph.{GraphOps, SpaceTracker}
 case object BfsMinLabel extends CcAlgorithm {
   override val name = "BFS"
 
-  private val MaxRounds = 2000000
-
   override def run(edges: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
-    val raw    = GraphOps.asEdges(edges)
-    val (b, _) = tracker.materialize("B", GraphOps.undirect(GraphOps.canonical(raw)))
-    var (l, lRows) = tracker.materialize("L0", GraphOps.vertices(raw).select(col("v"), col("v").as("r")))
-    var round  = 0
-    var done   = lRows == 0L
-    while (!done) {
-      round += 1
-      require(round <= MaxRounds, s"$name did not converge in $MaxRounds rounds")
+    val raw = GraphOps.asEdges(edges)
+    val b   = tracker.materialize("B", GraphOps.undirect(GraphOps.canonical(raw)))
+    var l   = tracker.materialize("L0", GraphOps.vertices(raw).select(col("v"), col("v").as("r")))
+    val rounds = Rounds(name, 2000000)(l.rows != 0L) { round =>
       // Min of neighbours' current representatives.
-      val nbrMin = b.join(l.select(col("v").as("lw"), col("r")), col("w") === col("lw"))
+      val nbrMin = b.df.join(l.df.select(col("v").as("lw"), col("r")), col("w") === col("lw"))
         .groupBy(col("v")).agg(min(col("r")).as("nr"))
-      val improved = l.join(nbrMin, Seq("v"), "left_outer")
+      val improved = l.df.join(nbrMin, Seq("v"), "left_outer")
         .select(col("v"), least(col("r"), coalesce(col("nr"), col("r"))).as("r"),
                 (col("nr").isNotNull && col("nr") < col("r")).cast("int").as("changed"))
-      val (nl, _) = tracker.materialize(s"L$round", improved)
-      val changed = nl.agg(sum(col("changed"))).head().getLong(0)
-      tracker.drop(s"L${round - 1}")
-      l = nl.select(col("v"), col("r"))
-      if (changed == 0L) done = true
+      val nl      = tracker.materialize(s"L$round", improved)
+      val changed = nl.df.agg(sum(col("changed"))).head().getLong(0)
+      tracker.drop(l)
+      l = nl
+      changed != 0L
     }
-    CcRun(l, round, tracker)
+    CcRun(l.df.select(col("v"), col("r")), rounds, tracker)
   }
 }

@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.core.{CcAlgorithm, CcRun}
+import repro.core.{CcAlgorithm, CcRun, Rounds}
 import repro.graph.{GraphOps, SpaceTracker}
 
 /** The second simple attempt of §IV: repeated graph squaring (G², G⁴, …).
@@ -16,8 +16,6 @@ import repro.graph.{GraphOps, SpaceTracker}
 case object GraphSquaring extends CcAlgorithm {
   override val name = "SQ"
 
-  private val MaxRounds = 100
-
   /** G ∪ G²: add (x, z) for every path x–y–z, canonicalised. */
   private def square(e: DataFrame): DataFrame = {
     val b   = GraphOps.undirect(e)
@@ -30,24 +28,19 @@ case object GraphSquaring extends CcAlgorithm {
   override def run(edges: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
     val raw   = GraphOps.asEdges(edges)
     val verts = GraphOps.vertices(raw).localCheckpoint(true)
-    var (e, eRows) = tracker.materialize("E0", GraphOps.canonical(raw))
-    var round = 0
-    var done  = eRows == 0L
-    while (!done) {
-      round += 1
-      require(round <= MaxRounds, s"$name did not converge in $MaxRounds rounds")
-      val (ne, neRows) = tracker.materialize(s"E$round", square(e))
-      tracker.drop(s"E${round - 1}")
-      tracker.recordRound(neRows)
+    var e     = tracker.materialize("E0", GraphOps.canonical(raw))
+    val rounds = Rounds(name, 100)(e.rows != 0L) { round =>
+      val ne = tracker.materialize(s"E$round", square(e.df))
+      tracker.drop(e)
+      tracker.recordRound(ne.rows)
       // The edge set only grows under ∪ G²; equal counts ⇒ fixpoint.
-      if (neRows == eRows) done = true
-      e = ne; eRows = neRows
+      val grew = ne.rows != e.rows
+      e = ne
+      grew
     }
     // In the transitive closure, min over the closed neighbourhood is the
     // component minimum.
-    val m = GraphOps.undirect(e).groupBy(col("v")).agg(least(col("v"), min(col("w"))).as("r"))
-    val labels = verts.join(m, Seq("v"), "left_outer")
-      .select(col("v"), coalesce(col("r"), col("v")).as("r"))
-    CcRun(labels, round, tracker)
+    val m = GraphOps.undirect(e.df).groupBy(col("v")).agg(least(col("v"), min(col("w"))).as("r"))
+    CcRun(GraphOps.labelOrSelf(verts, m), rounds, tracker)
   }
 }

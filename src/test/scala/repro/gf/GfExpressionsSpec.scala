@@ -2,11 +2,13 @@ package repro.gf
 
 import org.apache.spark.sql.functions._
 import repro.ReproSpec
+import repro.core.FinitePrimeField
 import scala.util.Random
 
 /** The Catalyst expressions must agree with their driver-side counterparts
   * whether invoked through `call_function` or through SQL text — both call
-  * paths are exercised by the algorithms.
+  * paths are exercised by the algorithms. So must GF(p)'s hash, which RC runs
+  * as plain SQL arithmetic.
   */
 class GfExpressionsSpec extends ReproSpec {
 
@@ -41,16 +43,13 @@ class GfExpressionsSpec extends ReproSpec {
     assert(spark.sql("select gf64_axb(1, 5, 0) as y").head().getLong(0) == 5L)
   }
 
-  test("modp_axb matches ModP.axb") {
-    val rng = new Random(12)
-    val a   = 1L + rng.nextLong(ModP.P - 1)
-    val b   = rng.nextLong(ModP.P)
-    val xs  = Seq.fill(100)(rng.nextLong(ModP.P))
+  test("GF(p) round hash SQL matches ModP.axb on in-range IDs") {
+    val rng   = new Random(12)
+    val round = FinitePrimeField.Round(1L + rng.nextLong(ModP.P - 1), rng.nextLong(ModP.P))
+    val xs    = Seq(0L, 1L, ModP.P - 1) ++ Seq.fill(100)(rng.nextLong(ModP.P))
     import spark.implicits._
-    val got = xs.toDF("x")
-      .select(call_function("modp_axb", lit(a), col("x"), lit(b)).as("y"))
-      .collect().map(_.getLong(0))
-    assert(got.toSeq == xs.map(ModP.axb(a, _, b)))
+    val got = xs.toDF("x").selectExpr(s"${round.hash("x")} as y").collect().map(_.getLong(0))
+    assert(got.toSeq == xs.map(ModP.axb(round.a, _, round.b)))
   }
 
   test("xtea_enc matches Xtea.encrypt") {

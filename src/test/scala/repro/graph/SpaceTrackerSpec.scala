@@ -4,50 +4,38 @@ import repro.ReproSpec
 
 class SpaceTrackerSpec extends ReproSpec {
 
+  private def table(t: SpaceTracker, name: String, rows: Long): Table =
+    t.materialize(name, spark.range(rows).selectExpr("id as v", "id as w"))
+
   test("create/drop tracks live and written rows like CREATE/DROP TABLE") {
     val t = new SpaceTracker
-    t.create("a", 100L)
-    t.create("b", 50L)
+    val a = table(t, "a", 100L)
+    table(t, "b", 50L)
     assert(t.liveRows == 150L)
     assert(t.maxLiveRows == 150L)
-    t.drop("a")
+    t.drop(a)
     assert(t.liveRows == 50L)
     assert(t.maxLiveRows == 150L) // the peak is remembered
-    t.create("c", 10L)
+    table(t, "c", 10L)
     assert(t.totalWrittenRows == 160L) // drops never reduce total written
-  }
-
-  test("rename moves rows without writing") {
-    val t = new SpaceTracker
-    t.create("a", 100L)
-    t.rename("a", "b")
-    assert(t.liveRows == 100L)
-    assert(t.totalWrittenRows == 100L)
-    t.drop("b")
-    assert(t.liveRows == 0L)
-  }
-
-  test("bytes are rows times bytesPerRow") {
-    val t = new SpaceTracker(bytesPerRow = 16L)
-    t.create("a", 10L)
-    assert(t.maxLiveBytes == 160L)
-    assert(t.totalWrittenBytes == 160L)
+    assertThrows[IllegalArgumentException](t.drop(a))          // no longer live
+    assertThrows[IllegalArgumentException](table(t, "b", 1L))  // already live
   }
 
   test("cap violation throws BlowUpException") {
     val t = new SpaceTracker(capRows = 100L, algoName = "X")
-    t.create("a", 60L)
-    val ex = intercept[BlowUpException](t.create("b", 60L))
+    table(t, "a", 60L)
+    val ex = intercept[BlowUpException](table(t, "b", 60L))
     assert(ex.algo == "X")
     assert(ex.liveRows == 120L)
   }
 
   test("materialize counts the DataFrame and truncates lineage") {
-    val df       = spark.range(42).selectExpr("id as v", "id as w")
-    val t        = new SpaceTracker
-    val (out, n) = t.materialize("e", df)
-    assert(n == 42L)
-    assert(out.count() == 42L)
+    val t = new SpaceTracker
+    val e = table(t, "e", 42L)
+    assert(e.name == "e")
+    assert(e.rows == 42L)
+    assert(e.df.count() == 42L)
     assert(t.liveRows == 42L)
   }
 

@@ -1,9 +1,11 @@
 package repro.harness
 
+import org.apache.spark.sql.DataFrame
 import repro.ReproSpec
 import repro.baselines.HashToMin
-import repro.core.RandomisedContraction
+import repro.core.{CcAlgorithm, CcRun, RandomisedContraction}
 import repro.datasets.{BenchDataset, Generators}
+import repro.graph.SpaceTracker
 
 class HarnessSpec extends ReproSpec {
 
@@ -37,6 +39,18 @@ class HarnessSpec extends ReproSpec {
     val stats = BenchHarness.prepare(spark, tinyPath.build)
     val r     = BenchHarness.runOne(stats, "tiny-path", HashToMin)
     assert(r.status == "—", s"expected blow-up, got ${r.status} with max=${r.maxLiveRows}")
+  }
+
+  test("runOne reports BAD for a wrong partition with the right vertex and component counts") {
+    import spark.implicits._
+    val stats = BenchHarness.prepare(spark, _ => Seq((1L, 2L), (3L, 4L)).toDF("v", "w"))
+    val wrong = new CcAlgorithm {
+      val name = "wrong"
+      def run(edges: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = // {1, 3} and {2, 4}
+        CcRun(Seq((1L, 1L), (3L, 1L), (2L, 2L), (4L, 2L)).toDF("v", "r"), 1, tracker)
+    }
+    assert((stats.vertices, stats.components) == (4L, 2L))
+    assert(BenchHarness.runOne(stats, "two-edges", wrong).status == "BAD")
   }
 
   test("sweep covers all dataset × algorithm cells") {
