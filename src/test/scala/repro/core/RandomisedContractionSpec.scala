@@ -1,6 +1,10 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
 import repro.ReproSpec
+import repro.gf.ModP
 import repro.graph.{BlowUpException, GraphOps, SpaceTracker}
 import repro.testutil.Graphs
 
@@ -25,6 +29,12 @@ class RandomisedContractionSpec extends ReproSpec {
     ("randreals/det", RandomReals,      Variant.Deterministic, false),
   )
 
+  private def assertRejectsOutsideGfp(run: => Any): Unit = {
+    val e = intercept[Exception](run)
+    assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .exists(c => String.valueOf(c.getMessage).contains("outside [0, 2147483647) of GF(p)")), e)
+  }
+
   for ((cfgName, method, variant, needsSmallIds) <- configs; g <- Graphs.zoo) {
     if (!needsSmallIds || g.smallIds) {
       test(s"$cfgName labels ${g.name} correctly") {
@@ -33,12 +43,39 @@ class RandomisedContractionSpec extends ReproSpec {
       }
     } else {
       test(s"$cfgName rejects ${g.name} (IDs outside [0, 2^31-1))") {
-        val e = intercept[Exception] {
+        assertRejectsOutsideGfp {
           RandomisedContraction(method, variant).run(Graphs.toDf(spark, g.edges), seed = 5L)
         }
-        assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
-          .exists(c => String.valueOf(c.getMessage).contains("outside [0, 2147483647) of GF(p)")), e)
       }
+    }
+  }
+
+  // Random graphs of up to 12 vertices. Half draw every ID from GF(p)'s
+  // domain [0, p); the other half from the 64-bit extremes around it.
+  private val inGfp: Gen[Long] =
+    Gen.frequency(1 -> Gen.oneOf(0L, ModP.P - 1), 2 -> Gen.chooseNum(0L, ModP.P - 1))
+  private val anyId: Gen[Long] =
+    Gen.frequency(1 -> Gen.oneOf(Long.MinValue, -1L, 0L, ModP.P - 1, ModP.P, Long.MaxValue), 1 -> Gen.long)
+  private val extremeIdGraph: Gen[Seq[(Long, Long)]] = for {
+    small <- Gen.prob(0.5)
+    n     <- Gen.choose(1, 12)
+    pool  <- Gen.containerOfN[Set, Long](n, if (small) inGfp else anyId).map(_.toIndexedSeq)
+    m     <- Gen.choose(1, 2 * pool.size)
+    edges <- Gen.listOfN(m, Gen.zip(Gen.oneOf(pool), Gen.oneOf(pool)))
+  } yield edges
+
+  for ((cfgName, method, variant, needsSmallIds) <- configs) {
+    test(s"$cfgName: random graphs with extreme IDs, as a partition or rejected (ScalaCheck)") {
+      val prop = Prop.forAllNoShrink(extremeIdGraph, Gen.long) { (edges, seed) =>
+        def run() = RandomisedContraction(method, variant).run(Graphs.toDf(spark, edges), seed = seed)
+        if (needsSmallIds && edges.flatMap { case (v, w) => Seq(v, w) }.exists(x => x < 0 || x >= ModP.P))
+          assertRejectsOutsideGfp(run())
+        else Graphs.assertPartition(run().labels, edges)
+        true
+      }
+      val params = Test.Parameters.default.withMinSuccessfulTests(8).withInitialSeed(Seed(2020L))
+      val result = Test.check(params, prop)
+      assert(result.passed, Pretty.pretty(result))
     }
   }
 

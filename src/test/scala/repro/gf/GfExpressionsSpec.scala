@@ -5,7 +5,7 @@ import repro.ReproSpec
 import repro.core.FinitePrimeField
 import scala.util.Random
 
-/** The Catalyst expressions must agree with their driver-side counterparts
+/** The registered functions must agree with their driver-side counterparts
   * whether invoked through `call_function` or through SQL text — both call
   * paths are exercised by the algorithms. So must GF(p)'s hash, which RC runs
   * as plain SQL arithmetic.
@@ -62,6 +62,14 @@ class GfExpressionsSpec extends ReproSpec {
         lit(k0.toLong), lit(k1.toLong), lit(k2.toLong), lit(k3.toLong)).as("y"))
       .collect().map(_.getLong(0))
     assert(got.toSeq == xs.map(Xtea.encrypt(_, k0, k1, k2, k3)))
+  }
+
+  test("gf64_axb rejects a literal outside bigint instead of wrapping it") {
+    val e = intercept[Exception] {
+      spark.sql("select gf64_axb(12345678901234567890, 7L, 0L) as y").collect()
+    }
+    assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .exists(c => String.valueOf(c.getMessage).contains("CAST_OVERFLOW")), e)
   }
 
   test("gf64_axb propagates nulls") {
