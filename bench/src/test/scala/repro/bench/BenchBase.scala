@@ -6,9 +6,10 @@ import repro.SparkSpec
   * one-off warm-up so JIT/codegen cost is not billed to the first table cell.
   */
 trait BenchBase extends SparkSpec {
+  override protected def shufflePartitions: Int = 8
+
   override def beforeAll(): Unit = {
     super.beforeAll()
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
     BenchBase.warmupOnce(spark)
   }
 }

@@ -11,12 +11,7 @@ import repro.harness.{BenchHarness, TableFormat}
 class TableIISuite extends BenchBase {
 
   test("Table II: dataset statistics") {
-    val rows = DatasetCatalog.all.map { d =>
-      val stats = BenchHarness.prepare(spark, d.build)
-      val res   = (d, stats)
-      stats.edges.unpersist()
-      res
-    }
+    val rows = DatasetCatalog.all.map(d => d -> BenchHarness.prepare(spark, d.build))
     val table = TableFormat.tableII(rows)
     println("\n=== Table II (datasets; ours at bench scale vs paper) ===")
     println(table)

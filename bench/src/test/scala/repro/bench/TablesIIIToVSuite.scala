@@ -15,8 +15,8 @@ class TablesIIIToVSuite extends BenchBase {
     val results = BenchHarness.sweep(spark)
 
     val t3 = TableFormat.tableIII(results, names)
-    val t4 = TableFormat.tableIV(results, names)
-    val t5 = TableFormat.tableV(results, names)
+    val t4 = TableFormat.spaceTable(results, names, _.maxMb)
+    val t5 = TableFormat.spaceTable(results, names, _.writtenMb)
     println("\n=== Table III (runtimes, seconds) ===");       println(t3)
     println("\n=== Table IV (max space, MB @16B/row) ===");   println(t4)
     println("\n=== Table V (total written, MB @16B/row) ==="); println(t5)

@@ -2,6 +2,7 @@ package repro.bitcoin
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.graph.GraphOps
 
 /** Synthetic blockchain substrate (paper §VII-A imported the real 250 GB
   * Bitcoin chain; we synthesise a structurally equivalent one, DESIGN.md §4).
@@ -34,12 +35,12 @@ object BitcoinSynth {
   def chain(spark: SparkSession, nTx: Long, nAddr: Long, seed: Long = 0xB17C01L): Chain = {
     // Note: `/` on long columns is floating-point division in Spark SQL —
     // use floor+cast for the integer id arithmetic throughout.
-    val txs = spark.range(nTx).select(col("id").as("tx_id"),
+    val txs = GraphOps.range(spark, nTx).select(col("id").as("tx_id"),
       floor(col("id") / 100).cast("long").as("block_no"))
 
     // Addresses: 60% fresh (unique per output), 40% reused with zipf-ish skew
     // (quadratic inverse-CDF concentrates mass on low address IDs).
-    val outs = spark.range(nTx * OutsPerTx).select(
+    val outs = GraphOps.range(spark, nTx * OutsPerTx).select(
       col("id").as("out_id"),
       floor(col("id") / OutsPerTx).cast("long").as("tx_id"),
       when(rand(seed) < 0.6, col("id") + nAddr)

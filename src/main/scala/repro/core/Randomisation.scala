@@ -24,6 +24,11 @@ sealed trait HashMethod extends Randomisation {
   def nextRound(rng: Random): RoundHash
 }
 
+/** A method whose rounds are affine: the methods the Fast variant accepts. */
+sealed trait AffineMethod extends HashMethod {
+  def nextRound(rng: Random): AffineRoundHash
+}
+
 /** The drawn bijection h_i of one round, as SQL text. */
 trait RoundHash {
   /** h_i applied to the SQL expression `x` (used both for picking
@@ -45,7 +50,7 @@ trait AffineRoundHash extends RoundHash {
 /** Finite fields method over GF(2^64) — the method used in all the paper's
   * experiments, via the `gf64_axb` engine function (paper's C UDF `axplusb`).
   */
-case object FiniteField64 extends HashMethod {
+case object FiniteField64 extends AffineMethod {
   val name = "gf64"
   final case class Round(a: Long, b: Long) extends AffineRoundHash {
     def hash(x: String): String = s"gf64_axb(${a}L, $x, ${b}L)"
@@ -65,7 +70,7 @@ case object FiniteField64 extends HashMethod {
   * [0, p) only, so an ID outside that range fails the query instead of
   * sharing a label with the ID it collides with.
   */
-case object FinitePrimeField extends HashMethod {
+case object FinitePrimeField extends AffineMethod {
   val name = "modp"
   final case class Round(a: Long, b: Long) extends AffineRoundHash {
     def hash(x: String): String =

@@ -34,6 +34,8 @@ object Variant {
   */
 final case class RandomisedContraction(method: Randomisation = FiniteField64,
                                        variant: Variant = Variant.Fast) extends CcAlgorithm {
+  require(variant == Variant.Deterministic || method.isInstanceOf[AffineMethod],
+    s"Fast variant (Fig. 4) needs an affine method for the (A,B) accumulator; ${method.name} is not")
 
   override def name: String = {
     val base = variant match {
@@ -70,11 +72,7 @@ final case class RandomisedContraction(method: Randomisation = FiniteField64,
       variant match {
         // L := R_1 (rename, no rewrite), then L_i := L ⟕ R_i.
         case Variant.Deterministic => l = Some(l.fold(r)(compose(t, s"L$round", _, r, h)))
-        case Variant.Fast => h match {
-          case affine: AffineRoundHash => stack.push(r -> affine)
-          case _ => throw new IllegalArgumentException(
-            s"Fast variant (Fig. 4) needs an affine method for the (A,B) accumulator; ${method.name} is not")
-        }
+        case Variant.Fast => stack.push(r -> h.asInstanceOf[AffineRoundHash]) // affine: see `require`
       }
       e.rows != 0L
     }

@@ -2,6 +2,7 @@ package repro.datasets
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.graph.GraphOps
 import repro.imaging.ImageGraph
 
 /** Synthetic graph generators for the non-image datasets of Table II. */
@@ -15,7 +16,7 @@ object Generators {
     */
   def path(spark: SparkSession, n: Long, offset: Long = 0L): DataFrame = {
     require(n >= 2, "a path needs at least 2 vertices")
-    spark.range(n - 1).select((col("id") + offset).as("v"), (col("id") + offset + 1).as("w"))
+    GraphOps.range(spark, n - 1).select((col("id") + offset).as("v"), (col("id") + offset + 1).as("w"))
   }
 
   /** Reverse the low `bits` bits of a non-negative long column. */
@@ -40,7 +41,7 @@ object Generators {
     val parts = (0 until k).map { i =>
       val len  = base << i
       val bits = java.lang.Long.numberOfTrailingZeros(len)
-      val p = spark.range(len - 1).select(
+      val p = GraphOps.range(spark, len - 1).select(
         (bitrev(col("id"), bits) + offset).as("v"),
         (bitrev(col("id") + 1, bits) + offset).as("w"))
       offset += len
@@ -60,7 +61,7 @@ object Generators {
            seed: Long = 0x5EED
           ): DataFrame = {
     require(a + b + c <= 1.0 + 1e-9, "R-MAT quadrant probabilities must sum to <= 1")
-    var df = spark.range(nEdges).select(lit(0L).as("v"), lit(0L).as("w"))
+    var df = GraphOps.range(spark, nEdges).select(lit(0L).as("v"), lit(0L).as("w"))
     for (level <- 0 until scale) {
       val q      = rand(seed + level)
       val srcBit = (q >= a + b).cast("long")
@@ -75,27 +76,17 @@ object Generators {
   /** Friendster analogue: a social-flavoured R-MAT (milder skew, larger
     * scale-free core). DESIGN.md §4.
     */
-  def social(spark: SparkSession, scale: Int, nEdges: Long, seed: Long = 0xF12E7DL): DataFrame =
-    rmat(spark, scale, nEdges, a = 0.45, b = 0.22, c = 0.22, seed = seed)
+  def social(spark: SparkSession, scale: Int, nEdges: Long): DataFrame =
+    rmat(spark, scale, nEdges, a = 0.45, b = 0.22, c = 0.22, seed = 0xF12E7DL)
 
   /** "Streets of Italy" analogue (§VII-C): a city-block street network —
-    * a 2D lattice with each road segment kept with probability `keep`,
+    * the 2D lattice with each road segment kept with probability 0.55,
     * giving the low degree and |E| ≈ |V| of the original. IDs randomised.
     */
-  def streets(spark: SparkSession, width: Long, height: Long, keep: Double = 0.55,
-              seed: Long = 0x17A1FL): DataFrame = {
-    def pid(x: Column, y: Column) = y * width + x
-    // `/` on longs is double division in Spark SQL — floor+cast for row/col.
-    val h = spark.range((width - 1) * height).select(
-      (col("id") % (width - 1)).as("x"),
-      floor(col("id") / (width - 1)).cast("long").as("y"))
-      .where(rand(seed) < keep)
-      .select(pid(col("x"), col("y")).as("v"), pid(col("x") + 1, col("y")).as("w"))
-    val v = spark.range(width * (height - 1)).select(
-      (col("id") % width).as("x"),
-      floor(col("id") / width).cast("long").as("y"))
-      .where(rand(seed + 1) < keep)
-      .select(pid(col("x"), col("y")).as("v"), pid(col("x"), col("y") + 1).as("w"))
-    ImageGraph.randomizeIds(h.union(v), Seq("v", "w"), seed + 2)
+  def streets(spark: SparkSession, width: Long, height: Long): DataFrame = {
+    val (keep, seed) = (0.55, 0x17A1FL)
+    val h = ImageGraph.axis(spark, width, height, frames = 1, (1, 0, 0)).where(rand(seed) < keep)
+    val v = ImageGraph.axis(spark, width, height, frames = 1, (0, 1, 0)).where(rand(seed + 1) < keep)
+    ImageGraph.randomizeIds(h.union(v).select("v", "w"), Seq("v", "w"), seed + 2)
   }
 }

@@ -1,6 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** Edge-table conventions and shared graph transformations.
@@ -15,6 +15,12 @@ object GraphOps {
   /** Column names every edge table uses. */
   val V = "v"
   val W = "w"
+
+  /** `spark.range(n)` over a fixed 4 partitions, the rows every generator
+    * draws from: `rand(seed)` is seeded per partition, so a host-dependent
+    * partition count would make the graphs host-dependent (DESIGN.md §2).
+    */
+  def range(spark: SparkSession, n: Long): DataFrame = spark.range(0, n, 1, 4).toDF()
 
   /** Coerce an arbitrary two-column DataFrame into the (v, w) LONG schema. */
   def asEdges(df: DataFrame): DataFrame = {

@@ -78,9 +78,7 @@ object BenchHarness {
             algos: Seq[CcAlgorithm] = tableAlgos): Seq[BenchResult] =
     datasets.flatMap { d =>
       val stats = prepare(spark, d.build)
-      val res   = algos.map(a => runOne(stats, d.name, a))
-      stats.edges.unpersist()
-      res
+      algos.map(a => runOne(stats, d.name, a))
     }
 
   /** One cheap RC run so JIT/codegen warm-up is not billed to the first cell. */

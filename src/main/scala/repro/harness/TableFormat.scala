@@ -49,18 +49,12 @@ object TableFormat {
   def tableIII(results: Seq[BenchResult], algos: Seq[String]): String =
     render("Dataset" +: algos, grid(results, algos, r => f"${r.seconds}%.1f"))
 
-  /** Table IV layout: max space (MB-equivalents, rows × 16 B) + input size. */
-  def tableIV(results: Seq[BenchResult], algos: Seq[String]): String = {
+  /** Tables IV and V layout: input size and, per algorithm, a space figure
+    * in MB-equivalents (rows × 16 B) — max live (IV) or total written (V).
+    */
+  def spaceTable(results: Seq[BenchResult], algos: Seq[String], mb: BenchResult => Double): String = {
     val inputs = results.groupBy(_.dataset).view.mapValues(_.head.inputMb).toMap
-    val g = grid(results, algos, r => f"${r.maxMb}%.1f")
-    render(Seq("Dataset", "input MB") ++ algos,
-      g.map(r => Seq(r.head, f"${inputs(r.head)}%.1f") ++ r.tail))
-  }
-
-  /** Table V layout: total MB written + input size. */
-  def tableV(results: Seq[BenchResult], algos: Seq[String]): String = {
-    val inputs = results.groupBy(_.dataset).view.mapValues(_.head.inputMb).toMap
-    val g = grid(results, algos, r => f"${r.writtenMb}%.1f")
+    val g = grid(results, algos, r => f"${mb(r)}%.1f")
     render(Seq("Dataset", "input MB") ++ algos,
       g.map(r => Seq(r.head, f"${inputs(r.head)}%.1f") ++ r.tail))
   }

@@ -3,6 +3,7 @@ package repro.imaging
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.gf.GfFunctions
+import repro.graph.GraphOps
 
 /** Image/video → graph conversion (paper §VII-A).
   *
@@ -69,58 +70,47 @@ object ImageGraph {
       d.withColumn(c, call_function("gf64_axb", lit(a), col(c).cast("long"), lit(b))))
   }
 
-  /** 2D image graph: 4-connectivity, |intensity diff| <= threshold.
-    * The paper's Andromeda analogue. Vertices are pixels on at least one
-    * kept edge (isolated pixels are excluded, as in Table II).
+  /** Candidate edges p–(p + d) of a `width × height × frames` lattice along
+    * axis `d = (dx, dy, dt)`: p's `x`, `y`, `t` and the IDs `v` of p and `w`
+    * of p + d, point (x, y, t) having ID `(t·height + y)·width + x`.
     */
-  def image2d(spark: SparkSession, width: Long, height: Long, threshold: Int,
-              seed: Long = 0xA11D0L): DataFrame = {
-    def pixelId(x: Column, y: Column): Column = y * width + x
-    def colorAt(x: Column, y: Column): Column = intensity(x, y, lit(0L), seed)
-
-    // Horizontal candidates: (x,y)–(x+1,y) over a (width-1) × height grid.
-    // (`/` on longs is double division in Spark SQL — floor+cast throughout.)
-    val h = spark.range((width - 1) * height).select(
-      (col("id") % (width - 1)).as("x"),
-      floor(col("id") / (width - 1)).cast("long").as("y"))
-      .select(pixelId(col("x"), col("y")).as("v"),
-              pixelId(col("x") + 1, col("y")).as("w"),
-              colorAt(col("x"), col("y")).as("c1"),
-              colorAt(col("x") + 1, col("y")).as("c2"))
-    // Vertical candidates: (x,y)–(x,y+1) over a width × (height-1) grid.
-    val vv = spark.range(width * (height - 1)).select(
-      (col("id") % width).as("x"),
-      floor(col("id") / width).cast("long").as("y"))
-      .select(pixelId(col("x"), col("y")).as("v"),
-              pixelId(col("x"), col("y") + 1).as("w"),
-              colorAt(col("x"), col("y")).as("c1"),
-              colorAt(col("x"), col("y") + 1).as("c2"))
-    val kept = h.union(vv).where(abs(col("c1") - col("c2")) <= threshold).select(col("v"), col("w"))
-    randomizeIds(kept, Seq("v", "w"), seed + 1)
+  def axis(spark: SparkSession, width: Long, height: Long, frames: Long,
+           d: (Int, Int, Int)): DataFrame = {
+    val (dx, dy, dt) = d
+    val (nx, ny)     = (width - dx, height - dy)
+    val (x, y, t)    = (col("x"), col("y"), col("t"))
+    def id(x: Column, y: Column, t: Column): Column = (t * height + y) * width + x
+    // `/` on longs is double division in Spark SQL — floor+cast throughout.
+    GraphOps.range(spark, nx * ny * (frames - dt)).select(
+      (col("id") % nx).as("x"),
+      (floor(col("id") / nx).cast("long") % ny).as("y"),
+      floor(col("id") / (nx * ny)).cast("long").as("t"))
+      .select(x, y, t, id(x, y, t).as("v"), id(x + dx, y + dy, t + dt).as("w"))
   }
 
-  /** 3D volume graph: 6-connectivity over (x, y, t) — the Candels analogue.
-    * Frame count doubles across the paper's Candels10…160 scalability series.
+  /** 2D image graph, the Andromeda analogue: a one-frame [[video3d]]
+    * (4-connectivity). Isolated pixels are excluded, as in Table II.
     */
-  def video3d(spark: SparkSession, width: Long, height: Long, frames: Long, threshold: Int,
-              seed: Long = 0xCA4DE15L): DataFrame = {
-    def pixelId(x: Column, y: Column, t: Column): Column = (t * height + y) * width + x
-    def colorAt(x: Column, y: Column, t: Column): Column = intensity(x, y, t, seed)
+  def image2d(spark: SparkSession, width: Long, height: Long, threshold: Int): DataFrame =
+    lattice(spark, width, height, frames = 1, threshold, seed = 0xA11D0L)
 
-    def axis(nx: Long, ny: Long, nt: Long, dx: Int, dy: Int, dt: Int): DataFrame =
-      spark.range(nx * ny * nt).select(
-        (col("id") % nx).as("x"),
-        (floor(col("id") / nx).cast("long") % ny).as("y"),
-        floor(col("id") / (nx * ny)).cast("long").as("t"))
-        .select(pixelId(col("x"), col("y"), col("t")).as("v"),
-                pixelId(col("x") + dx, col("y") + dy, col("t") + dt).as("w"),
-                colorAt(col("x"), col("y"), col("t")).as("c1"),
-                colorAt(col("x") + dx, col("y") + dy, col("t") + dt).as("c2"))
+  /** 3D volume graph, the Candels analogue: the +x, +y and +t edges
+    * (6-connectivity) whose endpoint intensities differ by at most
+    * `threshold`, with randomised IDs. Frame count doubles across the
+    * paper's Candels10…160 scalability series.
+    */
+  def video3d(spark: SparkSession, width: Long, height: Long, frames: Long,
+              threshold: Int): DataFrame =
+    lattice(spark, width, height, frames, threshold, seed = 0xCA4DE15L)
 
-    val cands = axis(width - 1, height, frames, 1, 0, 0)
-      .union(axis(width, height - 1, frames, 0, 1, 0))
-      .union(axis(width, height, frames - 1, 0, 0, 1))
-    val kept = cands.where(abs(col("c1") - col("c2")) <= threshold).select(col("v"), col("w"))
-    randomizeIds(kept, Seq("v", "w"), seed + 1)
+  private def lattice(spark: SparkSession, width: Long, height: Long, frames: Long,
+                      threshold: Int, seed: Long): DataFrame = {
+    val (x, y, t) = (col("x"), col("y"), col("t"))
+    val kept = Seq((1, 0, 0), (0, 1, 0), (0, 0, 1)).map { case d @ (dx, dy, dt) =>
+      axis(spark, width, height, frames, d)
+        .where(abs(intensity(x, y, t, seed) - intensity(x + dx, y + dy, t + dt, seed)) <= threshold)
+        .select("v", "w")
+    }
+    randomizeIds(kept.reduce(_ union _), Seq("v", "w"), seed + 1)
   }
 }

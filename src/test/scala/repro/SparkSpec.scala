@@ -14,6 +14,17 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** Shuffle partitions of this suite's queries. The tests' graphs are tiny
+    * and iterative algorithms launch a few Spark jobs per round, so few
+    * partitions keep each round's latency down.
+    */
+  protected def shufflePartitions: Int = 4
+
+  override def beforeAll(): Unit = {
+    super.beforeAll()
+    spark.conf.set("spark.sql.shuffle.partitions", shufflePartitions.toLong)
+  }
 }
 
 object SparkSpec {
@@ -21,8 +32,6 @@ object SparkSpec {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     s.sparkContext.setLogLevel("WARN")

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.ReproSpec
+import repro.SparkSpec
 import repro.core.CcAlgorithm
 import repro.testutil.Graphs
 
@@ -8,7 +8,7 @@ import repro.testutil.Graphs
   * zoo and on random graphs — they are the comparators of Tables III–V, so a
   * wrong baseline would invalidate the benchmark.
   */
-class BaselinesSpec extends ReproSpec {
+class BaselinesSpec extends SparkSpec {
 
   private val algos: Seq[CcAlgorithm] = Seq(HashToMin, TwoPhase, Cracker, BfsMinLabel, GraphSquaring)
 

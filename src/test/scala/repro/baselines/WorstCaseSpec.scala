@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.ReproSpec
+import repro.SparkSpec
 import repro.core.RandomisedContraction
 import repro.graph.{BlowUpException, SpaceTracker}
 import repro.testutil.Graphs
@@ -9,7 +9,7 @@ import repro.testutil.Graphs
   * BFS pays the diameter, squaring pays quadratic space, Hash-to-Min blows
   * up on paths, Randomised Contraction does not.
   */
-class WorstCaseSpec extends ReproSpec {
+class WorstCaseSpec extends SparkSpec {
 
   private def pathEdges(n: Long): Seq[(Long, Long)] = (0L until n - 1).map(i => (i, i + 1))
 

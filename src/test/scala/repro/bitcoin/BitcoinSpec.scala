@@ -1,12 +1,12 @@
 package repro.bitcoin
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, ReproSpec}
+import repro.{Oracle, SparkSpec}
 import repro.core.RandomisedContraction
 import repro.graph.{GraphOps, LocalUnionFind}
 import repro.testutil.Graphs
 
-class BitcoinSpec extends ReproSpec {
+class BitcoinSpec extends SparkSpec {
 
   private lazy val chain = BitcoinSynth.chain(spark, nTx = 2000, nAddr = 500)
 

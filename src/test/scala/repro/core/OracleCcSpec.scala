@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.{Oracle, ReproSpec, SynthData}
+import repro.{Oracle, SparkSpec, SynthData}
 import repro.baselines.{Cracker, HashToMin, TwoPhase}
 import repro.graph.GraphOps
 import repro.testutil.Graphs
@@ -11,7 +11,7 @@ import repro.testutil.Graphs
   * connected components DuckDB computes independently with a recursive-CTE
   * min-label propagation over the same edge table.
   */
-class OracleCcSpec extends ReproSpec {
+class OracleCcSpec extends SparkSpec {
 
   /** DuckDB-side CC: min reachable vertex ID per vertex, via recursive CTE. */
   private val duckCcSql =

@@ -3,7 +3,7 @@ package repro.core
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
 import org.scalacheck.util.Pretty
-import repro.ReproSpec
+import repro.SparkSpec
 import repro.gf.ModP
 import repro.graph.{BlowUpException, GraphOps, SpaceTracker}
 import repro.testutil.Graphs
@@ -14,7 +14,7 @@ import repro.testutil.Graphs
   * adversarial numbering, multi-component, extreme IDs) and on random
   * G(n,p) graphs — always compared against union-find as a partition.
   */
-class RandomisedContractionSpec extends ReproSpec {
+class RandomisedContractionSpec extends SparkSpec {
 
   private val variants: Seq[(String, Variant)] =
     Seq("fast (Fig. 4)" -> Variant.Fast, "deterministic (Fig. 3)" -> Variant.Deterministic)
@@ -105,6 +105,13 @@ class RandomisedContractionSpec extends ReproSpec {
     assertThrows[IllegalArgumentException] {
       RandomisedContraction(RandomReals, Variant.Fast)
         .run(Graphs.toDf(spark, Seq((1L, 2L))), seed = 1L)
+    }
+  }
+
+  test("constructing the fast variant with a non-affine method throws, before any run") {
+    for (method <- Seq(Encryption, RandomReals)) {
+      val e = intercept[IllegalArgumentException](RandomisedContraction(method, Variant.Fast))
+      assert(e.getMessage.contains(s"${method.name} is not"))
     }
   }
 

@@ -7,11 +7,6 @@ import repro.graph.GraphOps
   * grouping-key-in-aggregate, self-join disambiguation) on a tiny graph.
   */
 class SmokeSpec extends SparkSpec {
-  override def beforeAll(): Unit = {
-    super.beforeAll()
-    spark.conf.set("spark.sql.shuffle.partitions", "4")
-  }
-
   test("RC fast/gf64 labels a two-component graph correctly") {
     import spark.implicits._
     // Components: {1,2,3,4} (path) and {10,11} — plus isolated 20 via loop.

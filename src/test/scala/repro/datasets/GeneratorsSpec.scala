@@ -1,12 +1,13 @@
 package repro.datasets
 
-import org.apache.spark.sql.functions._
-import repro.ReproSpec
+import org.apache.spark.sql.DataFrame
+import repro.SparkSpec
+import repro.bitcoin.BitcoinSynth
 import repro.graph.{GraphOps, LocalUnionFind}
 
-class GeneratorsSpec extends ReproSpec {
+class GeneratorsSpec extends SparkSpec {
 
-  private def collectEdges(df: org.apache.spark.sql.DataFrame): Seq[(Long, Long)] =
+  private def collectEdges(df: DataFrame): Seq[(Long, Long)] =
     df.collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
 
   test("path(n) has n-1 sequential edges and one component") {
@@ -74,6 +75,23 @@ class GeneratorsSpec extends ReproSpec {
     val a = collectEdges(Generators.streets(spark, 20, 20))
     val b = collectEdges(Generators.streets(spark, 20, 20))
     assert(a.sorted == b.sorted)
+  }
+
+  test("rand-drawn graphs do not depend on the session's default parallelism") {
+    val graphs: Seq[(String, () => DataFrame)] = Seq(
+      "streets" -> (() => Generators.streets(spark, 80, 45)),
+      "rmat"    -> (() => Generators.rmat(spark, scale = 8, nEdges = 2000)),
+      "bitcoin" -> (() => BitcoinSynth.addressGraph(BitcoinSynth.chain(spark, nTx = 2000, nAddr = 500))))
+    val unset = graphs.map { case (_, g) => collectEdges(g()).sorted }
+    val key   = "spark.sql.leafNodeDefaultParallelism"
+    try {
+      for (parallelism <- Seq(2L, 6L); ((name, g), want) <- graphs.zip(unset)) {
+        spark.conf.set(key, parallelism)
+        val got  = collectEdges(g()).sorted
+        val same = got == want // not in the assert: the message would print both edge lists
+        assert(same, s"$name: ${got.size} rows at parallelism $parallelism, ${want.size} unset")
+      }
+    } finally spark.conf.unset(key)
   }
 
   test("social graph has a giant component (Friendster analogue)") {

@@ -1,7 +1,7 @@
 package repro.gf
 
 import org.apache.spark.sql.functions._
-import repro.ReproSpec
+import repro.SparkSpec
 import repro.core.FinitePrimeField
 import scala.util.Random
 
@@ -10,7 +10,7 @@ import scala.util.Random
   * paths are exercised by the algorithms. So must GF(p)'s hash, which RC runs
   * as plain SQL arithmetic.
   */
-class GfExpressionsSpec extends ReproSpec {
+class GfExpressionsSpec extends SparkSpec {
 
   override def beforeAll(): Unit = {
     super.beforeAll()

@@ -1,9 +1,9 @@
 package repro.graph
 
-import repro.ReproSpec
+import repro.SparkSpec
 import repro.testutil.Graphs
 
-class GraphOpsSpec extends ReproSpec {
+class GraphOpsSpec extends SparkSpec {
 
   private def df(edges: Seq[(Long, Long)]) = Graphs.toDf(spark, edges)
 

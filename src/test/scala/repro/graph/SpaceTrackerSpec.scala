@@ -1,8 +1,8 @@
 package repro.graph
 
-import repro.ReproSpec
+import repro.SparkSpec
 
-class SpaceTrackerSpec extends ReproSpec {
+class SpaceTrackerSpec extends SparkSpec {
 
   private def table(t: SpaceTracker, name: String, rows: Long): Table =
     t.materialize(name, spark.range(rows).selectExpr("id as v", "id as w"))

@@ -1,21 +1,21 @@
 package repro.harness
 
 import org.apache.spark.sql.DataFrame
-import repro.ReproSpec
+import repro.SparkSpec
 import repro.baselines.HashToMin
 import repro.core.{CcAlgorithm, CcRun, RandomisedContraction}
 import repro.datasets.{BenchDataset, Generators}
 import repro.graph.SpaceTracker
 
-class HarnessSpec extends ReproSpec {
+class HarnessSpec extends SparkSpec {
 
   private def tinyRmat = BenchDataset("tiny-rmat",
     sp => Generators.rmat(sp, scale = 8, nEdges = 600),
-    "-", "-", "-", "-", "-", "-", "-")
+    "-", "-", "-")
 
   private def tinyPath = BenchDataset("tiny-path",
     sp => Generators.path(sp, 2500),
-    "-", "-", "-", "-", "-", "-", "-")
+    "-", "-", "-")
 
   test("prepare computes exact dataset statistics") {
     val stats = BenchHarness.prepare(spark, tinyPath.build)
@@ -76,9 +76,9 @@ class HarnessSpec extends ReproSpec {
     assert(t3.linesIterator.size == 4) // header + separator + 2 rows
     assert(t3.contains("—"))
     assert(t3.contains("1.5"))
-    val t4 = TableFormat.tableIV(rs, Seq("RC", "HM"))
+    val t4 = TableFormat.spaceTable(rs, Seq("RC", "HM"), _.maxMb)
     assert(t4.contains("input MB"))
-    val t5 = TableFormat.tableV(rs, Seq("RC", "HM"))
+    val t5 = TableFormat.spaceTable(rs, Seq("RC", "HM"), _.writtenMb)
     assert(t5.contains("0.0")) // 450 rows * 16B = 0.0072 MB
     val tsv = TableFormat.tsv(rs)
     assert(tsv.linesIterator.size == 5)

@@ -1,10 +1,10 @@
 package repro.imaging
 
 import org.apache.spark.sql.functions._
-import repro.ReproSpec
+import repro.SparkSpec
 import repro.graph.{GraphOps, LocalUnionFind}
 
-class ImageGraphSpec extends ReproSpec {
+class ImageGraphSpec extends SparkSpec {
 
   private def degrees(edges: Seq[(Long, Long)]): Map[Long, Int] =
     edges.flatMap { case (v, w) => Seq(v, w) }.groupBy(identity).view.mapValues(_.size).toMap
