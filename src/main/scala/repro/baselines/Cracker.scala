@@ -31,7 +31,7 @@ case object Cracker extends CcAlgorithm {
   override def run(edges: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
     val spark = edges.sparkSession
     val raw   = GraphOps.asEdges(edges)
-    val verts = GraphOps.vertices(raw).localCheckpoint(true)
+    val verts = GraphOps.vertices(raw)
 
     // Bidirectional, loop-free working graph.
     var g     = tracker.materialize("G0", GraphOps.undirect(GraphOps.canonical(raw)))

@@ -42,7 +42,7 @@ case object TwoPhase extends CcAlgorithm {
 
   override def run(edges: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
     val raw   = GraphOps.asEdges(edges)
-    val verts = GraphOps.vertices(raw).localCheckpoint(true)
+    val verts = GraphOps.vertices(raw)
     var e     = tracker.materialize("E0", GraphOps.canonical(raw))
     // One step is two rounds, a large-star and a small-star; its tables are
     // numbered by the round it starts at.

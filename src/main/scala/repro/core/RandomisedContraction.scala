@@ -55,12 +55,10 @@ final case class RandomisedContraction(method: Randomisation = FiniteField64,
 
   /** The script: contraction rounds until E is empty, then the labels. */
   private def runScript(t: RunTables, edges: DataFrame, rng: Random): CcRun = {
-    var e = t.create("E0", GraphOps.undirect(GraphOps.asEdges(edges)))
-    if (e.rows == 0L) return CcRun(t.sql("select id as v, id as r from range(0)"), 0, t.tracker)
-
+    var e     = t.create("E0", GraphOps.undirect(GraphOps.asEdges(edges)))
     var l     = Option.empty[Table]                            // Fig. 3: running L
     val stack = mutable.Stack.empty[(Table, AffineRoundHash)] // Fig. 4: R_i with h_i
-    val rounds = Rounds(name)(true) { round =>
+    val rounds = Rounds(name)(e.rows != 0L) { round =>
       val (r, h) = representatives(t, e, round, rng)
       val next = t.create(s"E$round",
         s"""select distinct r1.r as v, r2.r as w
@@ -76,6 +74,8 @@ final case class RandomisedContraction(method: Randomisation = FiniteField64,
       }
       e.rows != 0L
     }
+    t.drop(e) // empty: the rounds ran until no edge was left
+    if (rounds == 0) return CcRun(t.sql("select id as v, id as r from range(0)"), 0, t.tracker)
 
     val labels = variant match {
       case Variant.Deterministic => l.get

@@ -19,9 +19,6 @@ object Gf64 {
   /** The low bits of the irreducible polynomial x^64 + x^4 + x^3 + x + 1. */
   final val IrrPoly: Long = 0x1bL
 
-  /** Multiplicative identity. */
-  final val One: Long = 1L
-
   /** A*x + B over GF(2^64). Direct port of the paper's `axplusb` C UDF. */
   def axb(a0: Long, x0: Long, b: Long): Long = {
     var a = a0
@@ -34,36 +31,4 @@ object Gf64 {
     }
     r ^ b
   }
-
-  /** Field multiplication. */
-  def mul(a: Long, x: Long): Long = axb(a, x, 0L)
-
-  /** Field addition (= subtraction = XOR). */
-  def add(a: Long, b: Long): Long = a ^ b
-
-  /** a^e by square-and-multiply (exponent treated as unsigned). */
-  def pow(a: Long, e: Long): Long = {
-    var base = a
-    var exp  = e
-    var acc  = One
-    while (exp != 0L) {
-      if ((exp & 1L) != 0L) acc = mul(acc, base)
-      base = mul(base, base)
-      exp >>>= 1
-    }
-    acc
-  }
-
-  /** Multiplicative inverse of a non-zero element, via Fermat: a^(2^64 - 2).
-    *
-    * The multiplicative group has order 2^64 - 1, so a^(2^64 - 2) = a^(-1).
-    */
-  def inv(a: Long): Long = {
-    require(a != 0L, "0 has no multiplicative inverse in GF(2^64)")
-    // 2^64 - 2 as an unsigned 64-bit value is 0xFFFF...FE == -2L.
-    pow(a, -2L)
-  }
-
-  /** Inverse of the affine map y = A*x + B: x = A^(-1) * (y - B). */
-  def invAxb(a: Long, y: Long, b: Long): Long = mul(inv(a), y ^ b)
 }

@@ -15,25 +15,4 @@ object ModP {
 
   /** The Mersenne prime 2^31 - 1. */
   final val P: Long = 2147483647L
-
-  /** (a*x + b) mod p. Requires 0 <= x < p; callers assert IDs fit. */
-  def axb(a: Long, x: Long, b: Long): Long = {
-    require(x >= 0 && x < P, s"vertex ID $x outside [0, $P) — GF(p) method needs small IDs")
-    (a % P * (x % P) + b % P) % P
-  }
-
-  /** Multiplicative inverse mod p via Fermat: a^(p-2) mod p. */
-  def inv(a0: Long): Long = {
-    val a = ((a0 % P) + P) % P
-    require(a != 0L, "0 has no inverse mod p")
-    var base = a
-    var e    = P - 2
-    var acc  = 1L
-    while (e != 0L) {
-      if ((e & 1L) != 0L) acc = acc * base % P
-      base = base * base % P
-      e >>= 1
-    }
-    acc
-  }
 }

@@ -13,8 +13,8 @@ package repro.gf
   */
 object Xtea {
 
-  private final val Delta  = 0x9e3779b9 // golden-ratio round constant
-  private final val Rounds = 32
+  private[gf] final val Delta  = 0x9e3779b9 // golden-ratio round constant
+  private[gf] final val Rounds = 32
 
   /** Encrypt a 64-bit block under key (k0..k3). */
   def encrypt(block: Long, k0: Int, k1: Int, k2: Int, k3: Int): Long = {
@@ -27,22 +27,6 @@ object Xtea {
       v0 += (((v1 << 4) ^ (v1 >>> 5)) + v1) ^ (sum + key(sum & 3))
       sum += Delta
       v1 += (((v0 << 4) ^ (v0 >>> 5)) + v0) ^ (sum + key((sum >>> 11) & 3))
-      i += 1
-    }
-    (v0.toLong << 32) | (v1.toLong & 0xffffffffL)
-  }
-
-  /** Decrypt a 64-bit block under key (k0..k3). Inverse of [[encrypt]]. */
-  def decrypt(block: Long, k0: Int, k1: Int, k2: Int, k3: Int): Long = {
-    val key = Array(k0, k1, k2, k3)
-    var v0  = (block >>> 32).toInt
-    var v1  = block.toInt
-    var sum = Delta * Rounds
-    var i   = 0
-    while (i < Rounds) {
-      v1 -= (((v0 << 4) ^ (v0 >>> 5)) + v0) ^ (sum + key((sum >>> 11) & 3))
-      sum -= Delta
-      v0 -= (((v1 << 4) ^ (v1 >>> 5)) + v1) ^ (sum + key(sum & 3))
       i += 1
     }
     (v0.toLong << 32) | (v1.toLong & 0xffffffffL)

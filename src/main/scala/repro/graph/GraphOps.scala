@@ -66,8 +66,4 @@ object GraphOps {
     val reps = labels.groupBy(col("r")).agg(min(col("v")).as("rep"))
     labels.join(reps, "r").select(col("v"), col("rep"))
   }
-
-  /** Number of distinct components in a labelling. */
-  def componentCount(labels: DataFrame): Long =
-    labels.select(col("r")).distinct().count()
 }

@@ -1,6 +1,7 @@
 package repro.graph
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, Row}
 import scala.collection.mutable
 
 /** Thrown when an algorithm's live intermediate state exceeds the harness cap
@@ -13,56 +14,76 @@ final case class BlowUpException(algo: String, liveRows: Long, capRows: Long)
 /** A materialised table: the result of the paper's `CREATE TABLE name AS …`. */
 final case class Table(name: String, df: DataFrame, rows: Long)
 
-/** Accounting for the paper's space metrics (Tables IV and V).
+/** Accounting for the paper's space metrics (Tables IV and V), and the one
+  * place an algorithm's tables are written and freed.
   *
   * Every intermediate an algorithm materialises corresponds to a
   * `CREATE TABLE` in the paper's SQL scripts; [[materialize]] plays that role
   * here (localCheckpoint = write the table, count = its row count) and
-  * [[drop]] plays `DROP TABLE`. From these events we track:
+  * [[drop]] plays `DROP TABLE`, freeing the table's storage. From these
+  * events we track:
   *
   *   - maximum live rows at any instant → Table IV "maximum space used";
   *   - total rows ever written          → Table V "total gigabytes written"
   *     (what a transaction would have to retain).
+  *
+  * So Spark holds the blocks of the live tables only, as a database holds
+  * the tables not yet dropped.
   */
 final class SpaceTracker(val capRows: Long = Long.MaxValue, val algoName: String = "") {
-  private val live         = mutable.LinkedHashMap.empty[String, Long]
+  private val live         = mutable.LinkedHashMap.empty[String, (RDD[Row], Long)]
   private var maxLive      = 0L
   private var written      = 0L
   private val roundRowsBuf = mutable.ArrayBuffer.empty[Long]
 
   /** Materialise a DataFrame (truncating lineage) as the live table `name`.
     *
-    * `localCheckpoint` alone is not enough: Spark copies the *estimated*
-    * statistics of the original plan onto the checkpointed LogicalRDD
-    * (`LogicalRDD.rewriteStatsAndConstraints`). Join estimates multiply, so
-    * materialising round after round compounds `sizeInBytes` into BigInts
-    * whose digit count triples per round — after ~12 rounds the driver spends
-    * minutes multiplying million-digit numbers during planning. Re-wrapping
-    * the checkpointed RDD in a fresh DataFrame resets the stats to the
-    * session default each round, keeping planning O(1) per round.
+    * One Spark job writes the table: counting the locally checkpointed RDD
+    * fills its checkpoint. Checkpointing the DataFrame itself would not do:
+    * Spark copies the *estimated* statistics of the original plan onto the
+    * checkpointed LogicalRDD (`LogicalRDD.rewriteStatsAndConstraints`). Join
+    * estimates multiply, so materialising round after round compounds
+    * `sizeInBytes` into BigInts whose digit count triples per round — after
+    * ~12 rounds the driver spends minutes multiplying million-digit numbers
+    * during planning. Wrapping the checkpointed RDD in a fresh DataFrame
+    * resets the stats to the session default each round, keeping planning
+    * O(1) per round. `Dataset.rdd` is cached per Dataset, so the rows are
+    * taken through a fresh one (`toDF`): a DataFrame materialised twice gets
+    * two tables, and dropping one leaves the other.
+    *
+    * Past the cap every live table, this one included, is freed before the
+    * [[BlowUpException]] is thrown.
     */
   def materialize(name: String, df: DataFrame): Table = {
     require(!live.contains(name), s"$algoName: table $name is already live")
-    val ck   = df.localCheckpoint(true)
-    val out  = df.sparkSession.createDataFrame(ck.rdd, ck.schema)
-    val rows = out.count()
-    live(name) = rows
+    val rdd  = df.toDF().rdd.localCheckpoint()
+    val rows = rdd.count()
+    live(name) = rdd -> rows
     written += rows
     val total = liveRows
     if (total > maxLive) maxLive = total
-    if (total > capRows) throw BlowUpException(algoName, total, capRows)
-    Table(name, out, rows)
+    if (total > capRows) {
+      live.valuesIterator.foreach(_._1.unpersist(blocking = true))
+      live.clear()
+      throw BlowUpException(algoName, total, capRows)
+    }
+    Table(name, df.sparkSession.createDataFrame(rdd, df.schema), rows)
   }
 
-  /** `DROP TABLE`: the table's space is freed. Only a live table can be dropped. */
-  def drop(table: Table): Unit =
-    require(live.remove(table.name).isDefined, s"$algoName: table ${table.name} is not live")
+  /** `DROP TABLE`: the table's storage is freed, so a later read of it fails.
+    * Only a live table can be dropped.
+    */
+  def drop(table: Table): Unit = {
+    val freed = live.remove(table.name)
+    require(freed.isDefined, s"$algoName: table ${table.name} is not live")
+    freed.get._1.unpersist(blocking = true)
+  }
 
   /** Record the edge-table size after a contraction round (shrink telemetry). */
   def recordRound(edgeRows: Long): Unit = roundRowsBuf += edgeRows
 
   def maxLiveRows: Long        = maxLive
   def totalWrittenRows: Long   = written
-  def liveRows: Long           = live.valuesIterator.sum
+  def liveRows: Long           = live.valuesIterator.map(_._2).sum
   def roundEdgeRows: Seq[Long] = roundRowsBuf.toSeq
 }

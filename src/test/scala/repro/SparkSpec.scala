@@ -1,5 +1,7 @@
 package repro
 
+import org.apache.logging.log4j.Level
+import org.apache.logging.log4j.core.config.Configurator
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -35,6 +37,10 @@ object SparkSpec {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     s.sparkContext.setLogLevel("WARN")
+    // `SpaceTracker.drop` unpersists a locally checkpointed RDD, and Spark
+    // warns each time that it cannot be recomputed: the contract of a
+    // dropped table, logged once per table by this logger.
+    Configurator.setLevel("org.apache.spark.rdd.MapPartitionsRDD", Level.ERROR)
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).
     Console.err.println(

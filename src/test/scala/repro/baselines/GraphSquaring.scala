@@ -27,7 +27,7 @@ case object GraphSquaring extends CcAlgorithm {
 
   override def run(edges: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
     val raw   = GraphOps.asEdges(edges)
-    val verts = GraphOps.vertices(raw).localCheckpoint(true)
+    val verts = GraphOps.vertices(raw)
     var e     = tracker.materialize("E0", GraphOps.canonical(raw))
     val rounds = Rounds(name, 100)(e.rows != 0L) { round =>
       val ne = tracker.materialize(s"E$round", square(e.df))

@@ -57,6 +57,6 @@ class OracleCcSpec extends SparkSpec {
     checkAgainstDuck(run.labels, edges)
     // Bipartite star structure: one component per customer that has orders.
     val nCust = orders.select(col("o_custkey")).distinct().count()
-    assert(GraphOps.componentCount(run.labels) == nCust)
+    assert(Graphs.componentCount(run.labels) == nCust)
   }
 }

@@ -5,7 +5,7 @@ import org.scalacheck.rng.Seed
 import org.scalacheck.util.Pretty
 import repro.SparkSpec
 import repro.gf.ModP
-import repro.graph.{BlowUpException, GraphOps, SpaceTracker}
+import repro.graph.{BlowUpException, SpaceTracker}
 import repro.testutil.Graphs
 
 /** Correctness of Randomised Contraction across the full configuration
@@ -139,7 +139,7 @@ class RandomisedContractionSpec extends SparkSpec {
     val edges = Graphs.zoo.find(_.name == "mixed").get.edges
     val run   = RandomisedContraction().run(Graphs.toDf(spark, edges), seed = 3L)
     val comps = Graphs.referenceLabels(edges).values.toSet.size
-    assert(GraphOps.componentCount(run.labels) == comps)
+    assert(Graphs.componentCount(run.labels) == comps)
   }
 
   test("edge table shrinks monotonically to zero across rounds") {

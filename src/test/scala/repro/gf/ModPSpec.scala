@@ -19,7 +19,7 @@ class ModPSpec extends AnyFunSuite {
       val a = 1L + rng.nextLong(ModP.P - 1)
       val x = rng.nextLong(ModP.P)
       val b = rng.nextLong(ModP.P)
-      val y = ModP.axb(a, x, b)
+      val y = ModPLaws.axb(a, x, b)
       assert(y >= 0 && y < ModP.P)
     }
   }
@@ -30,8 +30,8 @@ class ModPSpec extends AnyFunSuite {
       val a = 1L + rng.nextLong(ModP.P - 1)
       val x = rng.nextLong(ModP.P)
       val b = rng.nextLong(ModP.P)
-      val y = ModP.axb(a, x, b)
-      val back = ModP.inv(a) * (((y - b) % ModP.P + ModP.P) % ModP.P) % ModP.P
+      val y = ModPLaws.axb(a, x, b)
+      val back = ModPLaws.inv(a) * (((y - b) % ModP.P + ModP.P) % ModP.P) % ModP.P
       assert(back == x)
     }
   }
@@ -40,14 +40,14 @@ class ModPSpec extends AnyFunSuite {
     val rng = new Random(5)
     (1 to 300).foreach { _ =>
       val a = 1L + rng.nextLong(ModP.P - 1)
-      assert(a * ModP.inv(a) % ModP.P == 1L)
+      assert(a * ModPLaws.inv(a) % ModP.P == 1L)
     }
   }
 
-  test("inv rejects 0") { assertThrows[IllegalArgumentException](ModP.inv(0L)) }
+  test("inv rejects 0") { assertThrows[IllegalArgumentException](ModPLaws.inv(0L)) }
 
   test("axb rejects out-of-range vertex IDs") {
-    assertThrows[IllegalArgumentException](ModP.axb(2L, ModP.P, 0L))
-    assertThrows[IllegalArgumentException](ModP.axb(2L, -1L, 0L))
+    assertThrows[IllegalArgumentException](ModPLaws.axb(2L, ModP.P, 0L))
+    assertThrows[IllegalArgumentException](ModPLaws.axb(2L, -1L, 0L))
   }
 }

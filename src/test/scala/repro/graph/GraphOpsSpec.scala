@@ -51,6 +51,6 @@ class GraphOpsSpec extends SparkSpec {
   test("componentCount counts distinct labels") {
     import spark.implicits._
     val l = Seq((1L, 9L), (2L, 9L), (3L, 4L)).toDF("v", "r")
-    assert(GraphOps.componentCount(l) == 2L)
+    assert(Graphs.componentCount(l) == 2L)
   }
 }

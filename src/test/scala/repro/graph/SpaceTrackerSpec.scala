@@ -1,11 +1,18 @@
 package repro.graph
 
+import org.apache.spark.SparkException
 import repro.SparkSpec
+import repro.baselines.{Cracker, HashToMin, TwoPhase}
+import repro.core.RandomisedContraction
+import repro.datasets.Generators
 
 class SpaceTrackerSpec extends SparkSpec {
 
   private def table(t: SpaceTracker, name: String, rows: Long): Table =
     t.materialize(name, spark.range(rows).selectExpr("id as v", "id as w"))
+
+  /** The RDDs whose blocks Spark holds. */
+  private def cachedRdds(): Set[Int] = spark.sparkContext.getRDDStorageInfo.map(_.id).toSet
 
   test("create/drop tracks live and written rows like CREATE/DROP TABLE") {
     val t = new SpaceTracker
@@ -37,6 +44,41 @@ class SpaceTrackerSpec extends SparkSpec {
     assert(e.rows == 42L)
     assert(e.df.count() == 42L)
     assert(t.liveRows == 42L)
+  }
+
+  test("a dropped table is freed: reading it fails instead of recomputing it") {
+    val t      = new SpaceTracker
+    val df     = spark.range(42L).selectExpr("id as v", "id as w")
+    val before = cachedRdds()
+    val a      = t.materialize("a", df)
+    assert((cachedRdds() -- before).size == 1)
+    t.drop(a)
+    assert(cachedRdds() -- before == Set.empty)
+    intercept[SparkException](a.df.count())
+    // The same DataFrame written again is a new table.
+    assert(t.materialize("b", df).df.count() == 42L)
+  }
+
+  // Every table but the one the labels are read from is dropped by the end
+  // of a run, so that table is all Spark still holds.
+  for (algo <- Seq(RandomisedContraction(), HashToMin, TwoPhase, Cracker)) {
+    test(s"after ${algo.name} on streets 80×45 Spark holds only the result table") {
+      val edges  = Generators.streets(spark, 80, 45)
+      val before = cachedRdds()
+      val run    = algo.run(edges, seed = 1L)
+      assert(run.labels.count() > 0L)
+      assert((cachedRdds() -- before).size == 1)
+    }
+  }
+
+  test("a run that blows the space cap leaves no table cached") {
+    val path    = Generators.path(spark, 256)
+    val before  = cachedRdds()
+    val tracker = new SpaceTracker(capRows = 255L * 10L, algoName = "HM")
+    val ex      = intercept[BlowUpException](HashToMin.run(path, tracker, seed = 1L))
+    assert(ex.liveRows > tracker.capRows)
+    assert(tracker.maxLiveRows == ex.liveRows)
+    assert(cachedRdds() -- before == Set.empty)
   }
 
   test("recordRound accumulates the shrink telemetry") {

@@ -62,6 +62,10 @@ object Graphs {
     edges.toDF("v", "w")
   }
 
+  /** Number of distinct components in a labelling (v, r). */
+  def componentCount(labels: DataFrame): Long =
+    labels.select("r").distinct().count()
+
   /** Exact reference labelling: component-min per vertex via union-find. */
   def referenceLabels(edges: Seq[(Long, Long)]): Map[Long, Long] =
     LocalUnionFind.fromEdges(edges).minLabels
