@@ -22,6 +22,7 @@ class SparkVsDbSuite extends BenchBase {
 
     val rc = BenchHarness.runOne(stats, "Streets", RandomisedContraction(), seed = 3L)
     val cr = BenchHarness.runOne(stats, "Streets", Cracker, seed = 3L)
+    stats.tracker.dropAll()
 
     val rows = Seq(rc, cr).map(r =>
       Seq(r.algo, r.status, f"${r.seconds}%.1f", r.rounds.toString, f"${r.maxMb}%.1f"))

@@ -16,6 +16,7 @@ class TableIISuite extends BenchBase {
     println("\n=== Table II (datasets; ours at bench scale vs paper) ===")
     println(table)
     TableFormat.save("table2_datasets.txt", table)
+    rows.foreach(_._2.tracker.dropAll()) // the checks below read driver-side statistics only
 
     val byName = rows.map { case (d, s) => d.name -> s }.toMap
     // Structural invariants mirroring the paper's Table II:

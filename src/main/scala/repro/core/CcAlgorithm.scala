@@ -8,7 +8,9 @@ import repro.graph.SpaceTracker
   * @param labels  DataFrame (v: long, r: long) — one row per vertex of the
   *                input, two vertices share `r` iff they are connected (§III).
   * @param rounds  number of contraction / message rounds executed.
-  * @param tracker space accounting for Tables IV and V.
+  * @param tracker space accounting for Tables IV and V. It holds the table
+  *                `labels` is read from, which stays live until the caller
+  *                calls `run.tracker.dropAll()`.
   */
 final case class CcRun(labels: DataFrame, rounds: Int, tracker: SpaceTracker)
 

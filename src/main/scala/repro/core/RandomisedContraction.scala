@@ -50,7 +50,7 @@ final case class RandomisedContraction(method: Randomisation = FiniteField64,
     GfFunctions.ensureRegistered(spark)
     val t = new RunTables(spark, tracker)
     try runScript(t, edges, new Random(seed))
-    finally t.dropAll()
+    finally t.dropViews()
   }
 
   /** The script: contraction rounds until E is empty, then the labels. */
@@ -170,7 +170,7 @@ private final class RunTables(spark: SparkSession, val tracker: SpaceTracker) {
   }
 
   /** Drops every view still registered: the result's, and all on failure. */
-  def dropAll(): Unit = views.foreach(spark.catalog.dropTempView)
+  def dropViews(): Unit = views.foreach(spark.catalog.dropTempView)
 }
 
 private object RunTables {

@@ -28,7 +28,9 @@ final case class Table(name: String, df: DataFrame, rows: Long)
   *     (what a transaction would have to retain).
   *
   * So Spark holds the blocks of the live tables only, as a database holds
-  * the tables not yet dropped.
+  * the tables not yet dropped. [[dropAll]] frees them all: the tracker's
+  * owner calls it once done with the tables, and a failed [[materialize]]
+  * calls it, so a failed run leaves nothing cached.
   */
 final class SpaceTracker(val capRows: Long = Long.MaxValue, val algoName: String = "") {
   private val live         = mutable.LinkedHashMap.empty[String, (RDD[Row], Long)]
@@ -51,23 +53,24 @@ final class SpaceTracker(val capRows: Long = Long.MaxValue, val algoName: String
     * taken through a fresh one (`toDF`): a DataFrame materialised twice gets
     * two tables, and dropping one leaves the other.
     *
-    * Past the cap every live table, this one included, is freed before the
-    * [[BlowUpException]] is thrown.
+    * A write that fails frees every live table, its own partial checkpoint
+    * included, and rethrows: its query throws, in the shuffle stages that
+    * AQE runs when the rows are taken or in the count, or the live rows
+    * pass the cap ([[BlowUpException]]).
     */
   def materialize(name: String, df: DataFrame): Table = {
     require(!live.contains(name), s"$algoName: table $name is already live")
-    val rdd  = df.toDF().rdd.localCheckpoint()
-    val rows = rdd.count()
-    live(name) = rdd -> rows
-    written += rows
-    val total = liveRows
-    if (total > maxLive) maxLive = total
-    if (total > capRows) {
-      live.valuesIterator.foreach(_._1.unpersist(blocking = true))
-      live.clear()
-      throw BlowUpException(algoName, total, capRows)
-    }
-    Table(name, df.sparkSession.createDataFrame(rdd, df.schema), rows)
+    try {
+      val rdd = df.toDF().rdd.localCheckpoint() // under AQE this already runs the shuffle stages
+      live(name) = rdd -> 0L                    // in the ledger while it is filled
+      val rows = rdd.count()
+      live(name) = rdd -> rows
+      written += rows
+      val total = liveRows
+      if (total > maxLive) maxLive = total
+      if (total > capRows) throw BlowUpException(algoName, total, capRows)
+      Table(name, df.sparkSession.createDataFrame(rdd, df.schema), rows)
+    } catch { case e: Throwable => dropAll(); throw e }
   }
 
   /** `DROP TABLE`: the table's storage is freed, so a later read of it fails.
@@ -77,6 +80,12 @@ final class SpaceTracker(val capRows: Long = Long.MaxValue, val algoName: String
     val freed = live.remove(table.name)
     require(freed.isDefined, s"$algoName: table ${table.name} is not live")
     freed.get._1.unpersist(blocking = true)
+  }
+
+  /** `DROP TABLE` of every live table. The space metrics are kept. */
+  def dropAll(): Unit = {
+    live.valuesIterator.foreach(_._1.unpersist(blocking = true))
+    live.clear()
   }
 
   /** Record the edge-table size after a contraction round (shrink telemetry). */

@@ -3,7 +3,7 @@ package repro.harness
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.baselines.{Cracker, HashToMin, TwoPhase}
 import repro.core.{CcAlgorithm, RandomisedContraction}
-import repro.datasets.{BenchDataset, DatasetCatalog}
+import repro.datasets.{BenchDataset, DatasetCatalog, Generators}
 import repro.graph.{BlowUpException, GraphOps, LocalUnionFind, SpaceTracker}
 
 /** One measured algorithm × dataset cell of Tables III–V.
@@ -37,39 +37,55 @@ object BenchHarness {
 
   /** Stats of a materialised dataset, with exact component count; `unionFind`
     * is the reference every labelling of the dataset is checked against.
+    * `tracker` holds the edge table, which `tracker.dropAll()` frees.
     */
   final case class DatasetStats(edges: DataFrame, rows: Long, vertices: Long, components: Long,
-                                componentSizes: Map[Long, Long], unionFind: LocalUnionFind)
+                                componentSizes: Map[Long, Long], unionFind: LocalUnionFind,
+                                tracker: SpaceTracker)
 
   /** Materialise a dataset and compute its Table II statistics. */
   def prepare(spark: SparkSession, build: SparkSession => DataFrame): DatasetStats = {
-    val edges = GraphOps.asEdges(build(spark)).localCheckpoint(true)
-    val rows  = edges.count()
-    val local = edges.collect().map(r => (r.getLong(0), r.getLong(1)))
-    val uf    = LocalUnionFind.fromEdges(local)
-    DatasetStats(edges, rows, uf.verticesSeen.size.toLong, uf.componentCount, uf.componentSizes, uf)
+    val tracker = new SpaceTracker(algoName = "harness")
+    val edges   = tracker.materialize("edges", GraphOps.asEdges(build(spark)))
+    val uf      = LocalUnionFind.fromEdges(edges.df.collect().map(r => (r.getLong(0), r.getLong(1))))
+    DatasetStats(edges.df, edges.rows, uf.verticesSeen.size.toLong, uf.componentCount, uf.componentSizes,
+      uf, tracker)
+  }
+
+  /** Why `labels` (v, r) is not `uf`'s partition, or None if it is: every
+    * vertex labelled once, and the labels normalised to component minima.
+    */
+  def partitionMismatch(labels: DataFrame, uf: LocalUnionFind): Option[String] = {
+    val rows = GraphOps.normalizeLabels(labels).collect().map(r => r.getLong(0) -> r.getLong(1))
+    val (got, want) = (rows.toMap, uf.minLabels)
+    if (rows.length != got.size)
+      Some(s"duplicate vertex rows in labels: ${rows.length} rows, ${got.size} vertices")
+    else Option.when(got != want)(
+      s"partition mismatch:\n  missing/wrong: ${(want.toSet -- got.toSet).take(5)}\n" +
+      s"  unexpected:    ${(got.toSet -- want.toSet).take(5)}")
   }
 
   /** Time one algorithm on a prepared dataset; check its labelling is
-    * union-find's partition (each vertex once, same classes).
+    * union-find's partition. The run's tables and its labels are freed
+    * before it returns.
     */
   def runOne(ds: DatasetStats, dataset: String, algo: CcAlgorithm, seed: Long = 42L): BenchResult = {
     val tracker = new SpaceTracker(capRows = capRows(ds.rows), algoName = algo.name)
     val start   = System.nanoTime()
     try {
-      val run     = algo.run(ds.edges, tracker, seed)
-      val labels  = run.labels.localCheckpoint(true)
-      val seconds = (System.nanoTime() - start) / 1e9
-      val got     = GraphOps.normalizeLabels(labels).collect().map(r => r.getLong(0) -> r.getLong(1))
-      val ok      = got.length == ds.vertices && got.toMap == ds.unionFind.minLabels
+      val run      = algo.run(ds.edges, tracker, seed)
+      val labels   = ds.tracker.materialize("labels", run.labels)
+      val seconds  = (System.nanoTime() - start) / 1e9
+      val mismatch = partitionMismatch(labels.df, ds.unionFind)
+      ds.tracker.drop(labels)
       BenchResult(dataset, algo.name, seconds, run.rounds,
-        ds.rows, tracker.maxLiveRows, tracker.totalWrittenRows, if (ok) "ok" else "BAD")
+        ds.rows, tracker.maxLiveRows, tracker.totalWrittenRows, if (mismatch.isEmpty) "ok" else "BAD")
     } catch {
       case BlowUpException(_, liveRows, _) =>
         val seconds = (System.nanoTime() - start) / 1e9
         BenchResult(dataset, algo.name, seconds, tracker.roundEdgeRows.size,
           ds.rows, liveRows, tracker.totalWrittenRows, "—")
-    }
+    } finally tracker.dropAll()
   }
 
   /** Run the full Tables III–V sweep. */
@@ -78,12 +94,11 @@ object BenchHarness {
             algos: Seq[CcAlgorithm] = tableAlgos): Seq[BenchResult] =
     datasets.flatMap { d =>
       val stats = prepare(spark, d.build)
-      algos.map(a => runOne(stats, d.name, a))
+      try algos.map(a => runOne(stats, d.name, a))
+      finally stats.tracker.dropAll()
     }
 
-  /** One cheap RC run so JIT/codegen warm-up is not billed to the first cell. */
-  def warmup(spark: SparkSession): Unit = {
-    val tiny = repro.datasets.Generators.rmat(spark, scale = 8, nEdges = 2000)
-    tableAlgos.foreach(_.run(tiny, seed = 1L).labels.count())
-  }
+  /** One sweep over a tiny graph so JIT/codegen warm-up is not billed to the first cell. */
+  def warmup(spark: SparkSession): Unit =
+    sweep(spark, Seq(BenchDataset("warm-up", Generators.rmat(_, scale = 8, nEdges = 2000), "-", "-", "-")))
 }

@@ -23,6 +23,9 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     */
   protected def shufflePartitions: Int = 4
 
+  /** The RDDs whose blocks Spark holds: the live tables of every tracker. */
+  protected def cachedRdds(): Set[Int] = spark.sparkContext.getRDDStorageInfo.map(_.id).toSet
+
   override def beforeAll(): Unit = {
     super.beforeAll()
     spark.conf.set("spark.sql.shuffle.partitions", shufflePartitions.toLong)

@@ -5,7 +5,7 @@ import org.scalacheck.rng.Seed
 import org.scalacheck.util.Pretty
 import repro.SparkSpec
 import repro.gf.ModP
-import repro.graph.{BlowUpException, SpaceTracker}
+import repro.graph.{BlowUpException, LocalUnionFind, SpaceTracker}
 import repro.testutil.Graphs
 
 /** Correctness of Randomised Contraction across the full configuration
@@ -29,10 +29,13 @@ class RandomisedContractionSpec extends SparkSpec {
     ("randreals/det", RandomReals,      Variant.Deterministic, false),
   )
 
+  /** The rejected run fails with GF(p)'s domain error and leaves no table cached. */
   private def assertRejectsOutsideGfp(run: => Any): Unit = {
-    val e = intercept[Exception](run)
+    val before = cachedRdds()
+    val e      = intercept[Exception](run)
     assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
       .exists(c => String.valueOf(c.getMessage).contains("outside [0, 2147483647) of GF(p)")), e)
+    assert(cachedRdds() -- before == Set.empty)
   }
 
   for ((cfgName, method, variant, needsSmallIds) <- configs; g <- Graphs.zoo) {
@@ -138,8 +141,7 @@ class RandomisedContractionSpec extends SparkSpec {
   test("labels are unique per component (bijective relabelling, §V-D)") {
     val edges = Graphs.zoo.find(_.name == "mixed").get.edges
     val run   = RandomisedContraction().run(Graphs.toDf(spark, edges), seed = 3L)
-    val comps = Graphs.referenceLabels(edges).values.toSet.size
-    assert(Graphs.componentCount(run.labels) == comps)
+    assert(Graphs.componentCount(run.labels) == LocalUnionFind.fromEdges(edges).componentCount)
   }
 
   test("edge table shrinks monotonically to zero across rounds") {

@@ -11,9 +11,6 @@ class SpaceTrackerSpec extends SparkSpec {
   private def table(t: SpaceTracker, name: String, rows: Long): Table =
     t.materialize(name, spark.range(rows).selectExpr("id as v", "id as w"))
 
-  /** The RDDs whose blocks Spark holds. */
-  private def cachedRdds(): Set[Int] = spark.sparkContext.getRDDStorageInfo.map(_.id).toSet
-
   test("create/drop tracks live and written rows like CREATE/DROP TABLE") {
     val t = new SpaceTracker
     val a = table(t, "a", 100L)
@@ -59,8 +56,22 @@ class SpaceTrackerSpec extends SparkSpec {
     assert(t.materialize("b", df).df.count() == 42L)
   }
 
+  test("a write whose query throws frees every live table and its own partial checkpoint") {
+    val t      = new SpaceTracker
+    val before = cachedRdds()
+    table(t, "a", 10L)
+    // Partitions 0–2 are checkpointed; the last row of partition 3 fails.
+    val failing = spark.range(0, 100, 1, 4).selectExpr("id as v", "if(id = 99, raise_error('boom'), id) as w")
+    val ex      = intercept[Exception](t.materialize("b", failing))
+    assert(Iterator.iterate[Throwable](ex)(_.getCause).takeWhile(_ != null)
+      .exists(c => String.valueOf(c.getMessage).contains("boom")), ex)
+    assert(cachedRdds() -- before == Set.empty)
+    assert(t.liveRows == 0L)
+    assert(t.totalWrittenRows == 10L)
+  }
+
   // Every table but the one the labels are read from is dropped by the end
-  // of a run, so that table is all Spark still holds.
+  // of a run, so that table is all Spark still holds until the caller frees it.
   for (algo <- Seq(RandomisedContraction(), HashToMin, TwoPhase, Cracker)) {
     test(s"after ${algo.name} on streets 80×45 Spark holds only the result table") {
       val edges  = Generators.streets(spark, 80, 45)
@@ -68,6 +79,8 @@ class SpaceTrackerSpec extends SparkSpec {
       val run    = algo.run(edges, seed = 1L)
       assert(run.labels.count() > 0L)
       assert((cachedRdds() -- before).size == 1)
+      run.tracker.dropAll()
+      assert(cachedRdds() -- before == Set.empty)
     }
   }
 

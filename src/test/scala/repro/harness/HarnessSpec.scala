@@ -54,11 +54,13 @@ class HarnessSpec extends SparkSpec {
   }
 
   test("sweep covers all dataset × algorithm cells") {
-    val res = BenchHarness.sweep(spark, Seq(tinyRmat),
+    val before = cachedRdds()
+    val res    = BenchHarness.sweep(spark, Seq(tinyRmat),
       Seq(RandomisedContraction(), repro.baselines.TwoPhase))
     assert(res.map(r => (r.dataset, r.algo)).toSet ==
       Set(("tiny-rmat", "RC"), ("tiny-rmat", "TP")))
     assert(res.forall(_.status == "ok"))
+    assert(cachedRdds() -- before == Set.empty) // edge table, results and labels all freed
   }
 
   test("capRows scales with input but has a floor") {

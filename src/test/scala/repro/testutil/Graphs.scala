@@ -2,7 +2,8 @@ package repro.testutil
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.scalatest.Assertions._
-import repro.graph.{GraphOps, LocalUnionFind}
+import repro.graph.LocalUnionFind
+import repro.harness.BenchHarness
 import scala.util.Random
 
 /** Shared test fixtures: a zoo of small graphs with known component
@@ -66,21 +67,9 @@ object Graphs {
   def componentCount(labels: DataFrame): Long =
     labels.select("r").distinct().count()
 
-  /** Exact reference labelling: component-min per vertex via union-find. */
-  def referenceLabels(edges: Seq[(Long, Long)]): Map[Long, Long] =
-    LocalUnionFind.fromEdges(edges).minLabels
-
   /** Assert a labels DataFrame (v, r) describes exactly the partition of
-    * `edges`: every vertex labelled once, labels normalised to component
-    * minima match union-find.
+    * `edges`, as [[BenchHarness.partitionMismatch]] checks it.
     */
-  def assertPartition(labels: DataFrame, edges: Seq[(Long, Long)]): Unit = {
-    val rows = GraphOps.normalizeLabels(labels).collect()
-    val got  = rows.map(r => r.getLong(0) -> r.getLong(1)).toMap
-    assert(rows.length == got.size, s"duplicate vertex rows in labels: ${rows.length} rows, ${got.size} vertices")
-    val want = referenceLabels(edges)
-    assert(got == want,
-      s"partition mismatch:\n  missing/wrong: ${(want.toSet -- got.toSet).take(5)}\n" +
-      s"  unexpected:    ${(got.toSet -- want.toSet).take(5)}")
-  }
+  def assertPartition(labels: DataFrame, edges: Seq[(Long, Long)]): Unit =
+    BenchHarness.partitionMismatch(labels, LocalUnionFind.fromEdges(edges)).foreach(fail(_))
 }
