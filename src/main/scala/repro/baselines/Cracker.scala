@@ -78,14 +78,14 @@ case object Cracker extends CcAlgorithm {
     trees.foreach(tracker.drop)
     Rounds(s"$name label propagation", 64)(true) { hops =>
       val gp = p.df.select(col("child").as("c2"), col("parent").as("gp"))
+      // `moved`: the child's parent changed in this hop.
       val jumped = p.df.join(gp, p.df("parent") === gp("c2"), "left_outer")
-        .select(col("child"), coalesce(col("gp"), col("parent")).as("parent"))
+        .select(col("child"), coalesce(col("gp"), col("parent")).as("parent"),
+          (coalesce(col("gp"), col("parent")) =!= col("parent")).as("moved"))
       val np = tracker.materialize(s"P$hops", jumped)
-      val changed = np.df.as("a").join(p.df.as("b"), col("a.child") === col("b.child"))
-        .where(col("a.parent") =!= col("b.parent")).limit(1).count()
       tracker.drop(p)
       p = np
-      changed != 0L
+      !np.df.where(col("moved")).isEmpty
     }
 
     val labels = GraphOps.labelOrSelf(verts, p.df.select(col("child").as("v"), col("parent").as("r")))

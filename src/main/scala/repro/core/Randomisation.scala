@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.gf.{Gf64, ModP}
+import repro.gf.{Gf64, GfFunctions, ModP}
 import scala.util.Random
 
 /** How a round of RC orders the vertices (§V-C).
@@ -29,7 +29,9 @@ sealed trait AffineMethod extends HashMethod {
   def nextRound(rng: Random): AffineRoundHash
 }
 
-/** The drawn bijection h_i of one round, as SQL text. */
+/** The drawn bijection h_i of one round, as SQL text. GF(2^64) and XTEA pass
+  * the keys as one BINARY literal, kept out of generated Java ([[GfFunctions]]).
+  */
 trait RoundHash {
   /** h_i applied to the SQL expression `x` (used both for picking
     * representatives and for relabelling unmatched rows during composition).
@@ -48,12 +50,13 @@ trait AffineRoundHash extends RoundHash {
 }
 
 /** Finite fields method over GF(2^64) — the method used in all the paper's
-  * experiments, via the `gf64_axb` engine function (paper's C UDF `axplusb`).
+  * experiments, via the `gf64_affine` engine function (paper's C UDF
+  * `axplusb`), whose key is A then B.
   */
 case object FiniteField64 extends AffineMethod {
   val name = "gf64"
   final case class Round(a: Long, b: Long) extends AffineRoundHash {
-    def hash(x: String): String = s"gf64_axb(${a}L, $x, ${b}L)"
+    def hash(x: String): String = s"gf64_affine(${GfFunctions.sqlLiteral(GfFunctions.key(a, b))}, $x)"
     /** Fig. 4 accumulator step: (A,B) ← (A·α, A·β + B) over GF(2^64). */
     def compose(inner: AffineRoundHash): AffineRoundHash =
       Round(Gf64.axb(a, inner.a, 0L), Gf64.axb(a, inner.b, b))
@@ -68,7 +71,8 @@ case object FiniteField64 extends AffineMethod {
 /** Finite fields method over GF(p), p = 2^31 − 1 — the paper's "SQL-only"
   * alternative (plain modular arithmetic, no UDF). h is a bijection on
   * [0, p) only, so an ID outside that range fails the query instead of
-  * sharing a label with the ID it collides with.
+  * sharing a label with the ID it collides with. Its `bigint` key literals
+  * are printed into the generated Java, so its queries compile every round.
   */
 case object FinitePrimeField extends AffineMethod {
   val name = "modp"
@@ -94,7 +98,7 @@ case object FinitePrimeField extends AffineMethod {
 case object Encryption extends HashMethod {
   val name = "xtea"
   final case class Round(k0: Int, k1: Int, k2: Int, k3: Int) extends RoundHash {
-    def hash(x: String): String = s"xtea_enc($x, $k0, $k1, $k2, $k3)"
+    def hash(x: String): String = s"xtea_enc($x, ${GfFunctions.sqlLiteral(GfFunctions.key(k0, k1, k2, k3))})"
   }
   def nextRound(rng: Random): Round = Round(rng.nextInt(), rng.nextInt(), rng.nextInt(), rng.nextInt())
 }

@@ -40,8 +40,12 @@ final class SpaceTracker(val capRows: Long = Long.MaxValue, val algoName: String
 
   /** Materialise a DataFrame (truncating lineage) as the live table `name`.
     *
-    * One Spark job writes the table: counting the locally checkpointed RDD
-    * fills its checkpoint. Checkpointing the DataFrame itself would not do:
+    * Counting the locally checkpointed RDD fills its checkpoint in one Spark
+    * job, the query's final stage. Under AQE, taking the rows (`.rdd`) has
+    * already run the query's shuffle stages as jobs of their own, so timing
+    * a table's write must span both calls.
+    *
+    * Checkpointing the DataFrame itself would not do:
     * Spark copies the *estimated* statistics of the original plan onto the
     * checkpointed LogicalRDD (`LogicalRDD.rewriteStatsAndConstraints`). Join
     * estimates multiply, so materialising round after round compounds

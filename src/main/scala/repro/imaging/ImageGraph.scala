@@ -67,7 +67,7 @@ object ImageGraph {
     while (a == 0L) a = rng.nextLong()
     val b = rng.nextLong()
     cols.foldLeft(df)((d, c) =>
-      d.withColumn(c, call_function("gf64_axb", lit(a), col(c).cast("long"), lit(b))))
+      d.withColumn(c, call_function("gf64_affine", lit(GfFunctions.key(a, b)), col(c).cast("long"))))
   }
 
   /** Candidate edges p–(p + d) of a `width × height × frames` lattice along

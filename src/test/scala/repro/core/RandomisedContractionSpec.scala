@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.metrics.source.CodegenMetrics
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
 import org.scalacheck.util.Pretty
@@ -115,6 +116,25 @@ class RandomisedContractionSpec extends SparkSpec {
     for (method <- Seq(Encryption, RandomReals)) {
       val e = intercept[IllegalArgumentException](RandomisedContraction(method, Variant.Fast))
       assert(e.getMessage.contains(s"${method.name} is not"))
+    }
+  }
+
+  // A round's keys reach the generated code as a BINARY literal, not as Java
+  // constants, so a run with another seed reuses every class the first compiled.
+  for (rc <- Seq(RandomisedContraction(), RandomisedContraction(FiniteField64, Variant.Deterministic),
+                 RandomisedContraction(Encryption, Variant.Deterministic))) {
+    test(s"${rc.name}: a second seed compiles no code") {
+      val edges = (0L until 63L).map(i => (i, i + 1))
+      def label(seed: Long): Int = {
+        val run = rc.run(Graphs.toDf(spark, edges), seed = seed)
+        Graphs.assertPartition(run.labels, edges)
+        run.tracker.dropAll()
+        run.rounds
+      }
+      assert(label(1L) > 1)
+      val compiles = CodegenMetrics.METRIC_COMPILATION_TIME.getCount
+      assert(label(2L) > 1)
+      assert(CodegenMetrics.METRIC_COMPILATION_TIME.getCount - compiles == 0L)
     }
   }
 

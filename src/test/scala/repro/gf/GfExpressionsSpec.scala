@@ -2,7 +2,7 @@ package repro.gf
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.core.FinitePrimeField
+import repro.core.{Encryption, FiniteField64, FinitePrimeField}
 import scala.util.Random
 
 /** The registered functions must agree with their driver-side counterparts
@@ -55,13 +55,47 @@ class GfExpressionsSpec extends SparkSpec {
   test("xtea_enc matches Xtea.encrypt") {
     val rng              = new Random(13)
     val (k0, k1, k2, k3) = (rng.nextInt(), rng.nextInt(), rng.nextInt(), rng.nextInt())
+    val key              = GfFunctions.key(k0, k1, k2, k3)
     val xs               = Seq.fill(100)(rng.nextLong())
     import spark.implicits._
     val got = xs.toDF("x")
-      .select(call_function("xtea_enc", col("x"),
-        lit(k0.toLong), lit(k1.toLong), lit(k2.toLong), lit(k3.toLong)).as("y"))
+      .select(call_function("xtea_enc", col("x"), lit(key)).as("y"))
       .collect().map(_.getLong(0))
-    assert(got.toSeq == xs.map(Xtea.encrypt(_, k0, k1, k2, k3)))
+    val want = xs.map(Xtea.encrypt(_, k0, k1, k2, k3))
+    assert(got.toSeq == want)
+    val round = Encryption.Round(k0, k1, k2, k3).hash("x")
+    assert(xs.toDF("x").selectExpr(s"$round as y").collect().map(_.getLong(0)).toSeq == want)
+  }
+
+  test("gf64_affine matches Gf64.axb for negative and extreme keys") {
+    val rng  = new Random(14)
+    val keys = Seq(Long.MinValue, -1L, 1L, Long.MaxValue, -(rng.nextLong() & Long.MaxValue) - 1L)
+    val xs   = Seq(0L, 1L, -1L, Long.MaxValue, Long.MinValue) ++ Seq.fill(20)(rng.nextLong())
+    import spark.implicits._
+    val df   = xs.toDF("x")
+    assert(GfFunctions.sqlLiteral(GfFunctions.key(1L, -2L)) == "X'0000000000000001FFFFFFFFFFFFFFFE'")
+    for (a <- keys; b <- keys :+ 0L) {
+      val want = xs.map(Gf64.axb(a, _, b))
+      val viaColumn = df.select(call_function("gf64_affine", lit(GfFunctions.key(a, b)), col("x")))
+      assert(viaColumn.collect().map(_.getLong(0)).toSeq == want, s"a=$a b=$b")
+      val viaSql = df.selectExpr(FiniteField64.Round(a, b).hash("x"))
+      assert(viaSql.collect().map(_.getLong(0)).toSeq == want, s"a=$a b=$b")
+    }
+  }
+
+  test("gf64_affine propagates nulls") {
+    val key = GfFunctions.sqlLiteral(GfFunctions.key(7L, 9L))
+    assert(spark.sql(s"select gf64_affine($key, cast(null as bigint)) as y").head().isNullAt(0))
+  }
+
+  test("a key that is not 16 bytes fails the query") {
+    for (query <- Seq("select gf64_affine(X'0102', id) from range(3)",
+                      s"select gf64_affine(${GfFunctions.sqlLiteral(new Array[Byte](17))}, id) from range(3)",
+                      "select xtea_enc(id, X'00000001000000020000000300') from range(3)")) {
+      val e = intercept[Exception](spark.sql(query).collect())
+      assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+        .exists(c => String.valueOf(c.getMessage).contains("a key must be 16 bytes")), query)
+    }
   }
 
   test("gf64_axb rejects a literal outside bigint instead of wrapping it") {
