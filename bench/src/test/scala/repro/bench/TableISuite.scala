@@ -29,6 +29,7 @@ class TableISuite extends BenchBase {
     val rcRounds = sizes.map { n =>
       val tracker = new SpaceTracker(algoName = "RC")
       val run = RandomisedContraction().run(Generators.path(spark, n), tracker, seed = 5L)
+      tracker.dropAll()
       val ratios = tracker.roundEdgeRows.sliding(2).collect {
         case Seq(a, b) if a > 0 => b.toDouble / a
       }.toSeq
@@ -49,6 +50,7 @@ class TableISuite extends BenchBase {
     val rmatRounds = Seq(12, 13, 14).map { sc =>
       val run = RandomisedContraction().run(
         Generators.rmat(spark, scale = sc, nEdges = 8L << sc), seed = 6L)
+      run.tracker.dropAll()
       rows += Seq(s"rmat 2^$sc", "RC", run.rounds.toString, "", "")
       run.rounds
     }
@@ -68,6 +70,7 @@ class TableISuite extends BenchBase {
     // (d) TP needs more rounds than RC (log² vs log) at equal linear space.
     val tpT = new SpaceTracker(capRows = (n - 1) * 40L, algoName = "TP")
     val tp  = TwoPhase.run(Generators.path(spark, n), tpT, seed = 5L)
+    tpT.dropAll()
     val rcN = rcRounds.find(_._1 == n).get._2
     rows += Seq(s"path $n", "TP", tp.rounds.toString, "", f"${tpT.maxLiveRows.toDouble / (n - 1)}%.1f")
     assert(tp.rounds > rcN, s"TP (${tp.rounds}) should need more steps than RC ($rcN)")

@@ -36,8 +36,7 @@ case object HashToMin extends CcAlgorithm {
       val minTo = cm.select(col("u").as("v"), col("m").as("u"))
       val nc    = tracker.materialize(s"C$round", toMin.union(minTo).distinct())
       tracker.recordRound(nc.rows)
-      // Fixpoint test: nc ⊆ c and |nc| = |c|  ⇒  equal as sets.
-      val fixpoint = nc.rows == c.rows && nc.df.except(c.df).isEmpty
+      val fixpoint = nc.sameRows(c)
       tracker.drop(c)
       c = nc
       !fixpoint

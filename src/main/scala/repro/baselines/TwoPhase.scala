@@ -51,7 +51,7 @@ case object TwoPhase extends CcAlgorithm {
       val ss = tracker.materialize(s"S${round - 2}", smallStar(ls.df))
       tracker.drop(ls)
       tracker.recordRound(ss.rows)
-      val unchanged = ss.rows == e.rows && ss.df.except(e.df).isEmpty
+      val unchanged = ss.sameRows(e)
       tracker.drop(e)
       e = ss
       !unchanged

@@ -1,7 +1,6 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicLong
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import repro.gf.GfFunctions
 import repro.graph.{GraphOps, SpaceTracker, Table}
 import scala.collection.mutable
@@ -29,8 +28,8 @@ object Variant {
   * O(log |V|) rounds for any input (Theorem 1: shrink factor γ ≤ 3/4).
   *
   * Each `CREATE TABLE` of the script is a [[SpaceTracker.materialize]]d
-  * query registered as a temp view of this run, so Tables IV/V space
-  * metrics can be reproduced; every view is dropped when the run ends.
+  * query, so Tables IV/V space metrics can be reproduced, and the script
+  * names a table by its [[SpaceTracker.view]]; each `DROP TABLE` drops both.
   */
 final case class RandomisedContraction(method: Randomisation = FiniteField64,
                                        variant: Variant = Variant.Fast) extends CcAlgorithm {
@@ -48,131 +47,93 @@ final case class RandomisedContraction(method: Randomisation = FiniteField64,
   override def run(edges: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
     val spark = edges.sparkSession
     GfFunctions.ensureRegistered(spark)
-    val t = new RunTables(spark, tracker)
-    try runScript(t, edges, new Random(seed))
-    finally t.dropViews()
-  }
+    val rng = new Random(seed)
 
-  /** The script: contraction rounds until E is empty, then the labels. */
-  private def runScript(t: RunTables, edges: DataFrame, rng: Random): CcRun = {
-    var e     = t.create("E0", GraphOps.undirect(GraphOps.asEdges(edges)))
+    /** `create table <name> as <query>`; the query names a table x `${t(x)}`. */
+    def create(name: String, query: String): Table = tracker.materialize(name, spark.sql(query))
+    def t(table: Table): String = tracker.view(table)
+
+    /** Materialise R_i (`select v, least(h(v), min(h(w))) from E group by v`)
+      * and return it with the relabelling that composition applies to
+      * unmatched rows.
+      *
+      * For the hash methods the representative IS the h-value — the paper's
+      * performance optimisation that relabels vertices each round (valid because
+      * h_i is a bijection). The random-reals method instead materialises the
+      * per-vertex random table and takes an argmin, keeping original IDs.
+      */
+    def representatives(e: Table, round: Int): (Table, RoundHash) = method match {
+      case m: HashMethod =>
+        val h = m.nextRound(rng)
+        val r = create(s"R$round",
+          s"select v, least(${h.hash("v")}, min(${h.hash("w")})) as r from ${t(e)} group by v")
+        r -> h
+      case RandomReals =>
+        val hTab = create(s"H$round",
+          s"select v, rand(${RandomReals.nextSeed(rng)}L) as h from (select distinct v from ${t(e)})")
+        val r = create(s"R$round",
+          s"""select v, min_by(w, h) as r from (
+             |  select g.v, g.w, hw.h from ${t(e)} g join ${t(hTab)} hw on g.w = hw.v
+             |  union all select v, v as w, h from ${t(hTab)})
+             |group by v""".stripMargin)
+        tracker.drop(hTab)
+        r -> (x => x) // argmin keeps original IDs: no relabelling
+    }
+
+    /** `out := x ⟕ y`: each vertex of x takes y's representative of its label;
+      * labels y does not hold (vertices that went isolated earlier) are only
+      * relabelled by h. Fig. 3 composes L with R_i, Fig. 4 R_i with R_{i+1}.
+      * Drops x and y.
+      */
+    def compose(out: String, x: Table, y: Table, h: RoundHash): Table = {
+      val composed = create(out,
+        s"select x.v, coalesce(y.r, ${h.hash("x.r")}) as r from ${t(x)} x left join ${t(y)} y on x.r = y.v")
+      tracker.drop(x)
+      tracker.drop(y)
+      composed
+    }
+
+    /** Fig. 4's second loop: R_i := R_i ⟕ R_{i+1} from the top of the stack
+      * down, unmatched rows getting the accumulated relabelling
+      * h_k ∘ … ∘ h_{i+1}. Returns the table holding the labels.
+      */
+    def composeBackToFront(stack: mutable.Stack[(Table, AffineRoundHash)]): Table = {
+      var (cur, acc) = stack.pop()
+      while (stack.nonEmpty) {
+        val (ri, hi) = stack.pop()
+        cur = compose(s"C${stack.size + 1}", ri, cur, acc)
+        acc = acc.compose(hi)
+      }
+      cur
+    }
+
+    // The script: contraction rounds until E is empty, then the labels.
+    var e     = tracker.materialize("E0", GraphOps.undirect(GraphOps.asEdges(edges)))
     var l     = Option.empty[Table]                            // Fig. 3: running L
     val stack = mutable.Stack.empty[(Table, AffineRoundHash)] // Fig. 4: R_i with h_i
     val rounds = Rounds(name)(e.rows != 0L) { round =>
-      val (r, h) = representatives(t, e, round, rng)
-      val next = t.create(s"E$round",
+      val (r, h) = representatives(e, round)
+      val next = create(s"E$round",
         s"""select distinct r1.r as v, r2.r as w
            |from ${t(e)} g join ${t(r)} r1 on g.v = r1.v join ${t(r)} r2 on g.w = r2.v
            |where r1.r != r2.r""".stripMargin)
-      t.drop(e)
-      t.tracker.recordRound(next.rows)
+      tracker.drop(e)
+      tracker.recordRound(next.rows)
       e = next
       variant match {
         // L := R_1 (rename, no rewrite), then L_i := L ⟕ R_i.
-        case Variant.Deterministic => l = Some(l.fold(r)(compose(t, s"L$round", _, r, h)))
+        case Variant.Deterministic => l = Some(l.fold(r)(compose(s"L$round", _, r, h)))
         case Variant.Fast => stack.push(r -> h.asInstanceOf[AffineRoundHash]) // affine: see `require`
       }
       e.rows != 0L
     }
-    t.drop(e) // empty: the rounds ran until no edge was left
-    if (rounds == 0) return CcRun(t.sql("select id as v, id as r from range(0)"), 0, t.tracker)
+    tracker.drop(e) // empty: the rounds ran until no edge was left
+    if (rounds == 0) return CcRun(spark.sql("select id as v, id as r from range(0)"), 0, tracker)
 
     val labels = variant match {
       case Variant.Deterministic => l.get
-      case Variant.Fast          => composeBackToFront(t, stack)
+      case Variant.Fast          => composeBackToFront(stack)
     }
-    CcRun(t.sql(s"select v, r from ${t(labels)}"), rounds, t.tracker)
+    CcRun(labels.df, rounds, tracker)
   }
-
-  /** Fig. 4's second loop: R_i := R_i ⟕ R_{i+1} from the top of the stack
-    * down, unmatched rows getting the accumulated relabelling
-    * h_k ∘ … ∘ h_{i+1}. Returns the table holding the labels.
-    */
-  private def composeBackToFront(t: RunTables, stack: mutable.Stack[(Table, AffineRoundHash)]): Table = {
-    var (cur, acc) = stack.pop()
-    while (stack.nonEmpty) {
-      val (ri, hi) = stack.pop()
-      cur = compose(t, s"C${stack.size + 1}", ri, cur, acc)
-      acc = acc.compose(hi)
-    }
-    cur
-  }
-
-  /** Materialise R_i (`select v, least(h(v), min(h(w))) from E group by v`)
-    * and return it with the relabelling that composition applies to
-    * unmatched rows.
-    *
-    * For the hash methods the representative IS the h-value — the paper's
-    * performance optimisation that relabels vertices each round (valid because
-    * h_i is a bijection). The random-reals method instead materialises the
-    * per-vertex random table and takes an argmin, keeping original IDs.
-    */
-  private def representatives(t: RunTables, e: Table, round: Int,
-                              rng: Random): (Table, RoundHash) = method match {
-    case m: HashMethod =>
-      val h = m.nextRound(rng)
-      val r = t.create(s"R$round",
-        s"select v, least(${h.hash("v")}, min(${h.hash("w")})) as r from ${t(e)} group by v")
-      r -> h
-    case RandomReals =>
-      val hTab = t.create(s"H$round",
-        s"select v, rand(${RandomReals.nextSeed(rng)}L) as h from (select distinct v from ${t(e)})")
-      val r = t.create(s"R$round",
-        s"""select v, min_by(w, h) as r from (
-           |  select g.v, g.w, hw.h from ${t(e)} g join ${t(hTab)} hw on g.w = hw.v
-           |  union all select v, v as w, h from ${t(hTab)})
-           |group by v""".stripMargin)
-      t.drop(hTab)
-      r -> (x => x) // argmin keeps original IDs: no relabelling
-  }
-
-  /** `out := x ⟕ y`: each vertex of x takes y's representative of its label;
-    * labels y does not hold (vertices that went isolated earlier) are only
-    * relabelled by h. Fig. 3 composes L with R_i, Fig. 4 R_i with R_{i+1}.
-    * Drops x and y.
-    */
-  private def compose(t: RunTables, out: String, x: Table, y: Table, h: RoundHash): Table = {
-    val composed = t.create(out,
-      s"select x.v, coalesce(y.r, ${h.hash("x.r")}) as r from ${t(x)} x left join ${t(y)} y on x.r = y.v")
-    t.drop(x)
-    t.drop(y)
-    composed
-  }
-}
-
-/** The tables of one run: table `T` of the paper's script is the temp view
-  * `rc<n>_T`, with n unique per run so concurrent runs never share a view.
-  */
-private final class RunTables(spark: SparkSession, val tracker: SpaceTracker) {
-  private val prefix = s"rc${RunTables.runs.incrementAndGet()}_"
-  private val views  = mutable.LinkedHashSet.empty[String]
-
-  /** The view name of `table`, for SQL text. */
-  def apply(table: Table): String = prefix + table.name
-
-  def sql(query: String): DataFrame = spark.sql(query)
-
-  /** `create table <name> as <query>`: materialise, account and register. */
-  def create(name: String, query: String): Table = create(name, sql(query))
-
-  def create(name: String, df: DataFrame): Table = {
-    val table = tracker.materialize(name, df)
-    table.df.createOrReplaceTempView(apply(table))
-    views += apply(table)
-    table
-  }
-
-  /** `drop table <table>`. */
-  def drop(table: Table): Unit = {
-    tracker.drop(table)
-    spark.catalog.dropTempView(apply(table))
-    views -= apply(table)
-  }
-
-  /** Drops every view still registered: the result's, and all on failure. */
-  def dropViews(): Unit = views.foreach(spark.catalog.dropTempView)
-}
-
-private object RunTables {
-  private val runs = new AtomicLong
 }

@@ -1,7 +1,8 @@
 package repro.graph
 
+import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import scala.collection.mutable
 
 /** Thrown when an algorithm's live intermediate state exceeds the harness cap
@@ -12,7 +13,10 @@ final case class BlowUpException(algo: String, liveRows: Long, capRows: Long)
     extends RuntimeException(s"$algo exceeded space cap: $liveRows live rows > cap $capRows")
 
 /** A materialised table: the result of the paper's `CREATE TABLE name AS …`. */
-final case class Table(name: String, df: DataFrame, rows: Long)
+final case class Table(name: String, df: DataFrame, rows: Long) {
+  /** The fixpoint test: this table holds `prev`'s rows (both distinct, so ⊆ with equal counts is equality). */
+  def sameRows(prev: Table): Boolean = rows == prev.rows && df.except(prev.df).isEmpty
+}
 
 /** Accounting for the paper's space metrics (Tables IV and V), and the one
   * place an algorithm's tables are written and freed.
@@ -28,12 +32,17 @@ final case class Table(name: String, df: DataFrame, rows: Long)
   *     (what a transaction would have to retain).
   *
   * So Spark holds the blocks of the live tables only, as a database holds
-  * the tables not yet dropped. [[dropAll]] frees them all: the tracker's
-  * owner calls it once done with the tables, and a failed [[materialize]]
-  * calls it, so a failed run leaves nothing cached.
+  * the tables not yet dropped. [[view]] gives a live table its name in SQL,
+  * and [[drop]] ends both. [[dropAll]] frees them all: the tracker's owner
+  * calls it once done with the tables, and a failed [[materialize]] calls
+  * it, so a failed run leaves nothing cached and no view registered.
   */
 final class SpaceTracker(val capRows: Long = Long.MaxValue, val algoName: String = "") {
-  private val live         = mutable.LinkedHashMap.empty[String, (RDD[Row], Long)]
+  /** A live table: its storage, its rows, and its view with the view's session once it has one. */
+  private final case class Live(rdd: RDD[Row], rows: Long, view: Option[(String, SparkSession)])
+
+  private val id           = SpaceTracker.trackers.incrementAndGet()
+  private val live         = mutable.LinkedHashMap.empty[String, Live]
   private var maxLive      = 0L
   private var written      = 0L
   private val roundRowsBuf = mutable.ArrayBuffer.empty[Long]
@@ -66,9 +75,9 @@ final class SpaceTracker(val capRows: Long = Long.MaxValue, val algoName: String
     require(!live.contains(name), s"$algoName: table $name is already live")
     try {
       val rdd = df.toDF().rdd.localCheckpoint() // under AQE this already runs the shuffle stages
-      live(name) = rdd -> 0L                    // in the ledger while it is filled
+      live(name) = Live(rdd, 0L, None)          // in the ledger while it is filled
       val rows = rdd.count()
-      live(name) = rdd -> rows
+      live(name) = Live(rdd, rows, None)
       written += rows
       val total = liveRows
       if (total > maxLive) maxLive = total
@@ -77,19 +86,42 @@ final class SpaceTracker(val capRows: Long = Long.MaxValue, val algoName: String
     } catch { case e: Throwable => dropAll(); throw e }
   }
 
-  /** `DROP TABLE`: the table's storage is freed, so a later read of it fails.
-    * Only a live table can be dropped.
+  /** The name of a live table in SQL text: a temp view, unique to this
+    * tracker, registered in the table's own session the first time it is
+    * asked for. A table never named in SQL registers no view.
+    */
+  def view(table: Table): String = {
+    val entry = liveEntry(table)
+    entry.view match {
+      case Some((name, _)) => name
+      case None =>
+        val name = s"t${id}_${table.name}"
+        table.df.createOrReplaceTempView(name)
+        live(table.name) = entry.copy(view = Some(name -> table.df.sparkSession))
+        name
+    }
+  }
+
+  /** `DROP TABLE`: the table's storage is freed, so a later read of it fails,
+    * and its view is dropped. Only a live table can be dropped.
     */
   def drop(table: Table): Unit = {
-    val freed = live.remove(table.name)
-    require(freed.isDefined, s"$algoName: table ${table.name} is not live")
-    freed.get._1.unpersist(blocking = true)
+    free(liveEntry(table))
+    live.remove(table.name)
   }
 
   /** `DROP TABLE` of every live table. The space metrics are kept. */
   def dropAll(): Unit = {
-    live.valuesIterator.foreach(_._1.unpersist(blocking = true))
+    live.valuesIterator.foreach(free)
     live.clear()
+  }
+
+  private def liveEntry(table: Table): Live =
+    live.getOrElse(table.name, throw new IllegalArgumentException(s"$algoName: table ${table.name} is not live"))
+
+  private def free(entry: Live): Unit = {
+    entry.view.foreach { case (name, session) => session.catalog.dropTempView(name) }
+    entry.rdd.unpersist(blocking = true)
   }
 
   /** Record the edge-table size after a contraction round (shrink telemetry). */
@@ -97,6 +129,10 @@ final class SpaceTracker(val capRows: Long = Long.MaxValue, val algoName: String
 
   def maxLiveRows: Long        = maxLive
   def totalWrittenRows: Long   = written
-  def liveRows: Long           = live.valuesIterator.map(_._2).sum
+  def liveRows: Long           = live.valuesIterator.map(_.rows).sum
   def roundEdgeRows: Seq[Long] = roundRowsBuf.toSeq
+}
+
+object SpaceTracker {
+  private val trackers = new AtomicLong // numbers the trackers, so no two share a view name
 }

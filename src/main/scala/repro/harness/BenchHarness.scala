@@ -39,17 +39,18 @@ object BenchHarness {
     * is the reference every labelling of the dataset is checked against.
     * `tracker` holds the edge table, which `tracker.dropAll()` frees.
     */
-  final case class DatasetStats(edges: DataFrame, rows: Long, vertices: Long, components: Long,
-                                componentSizes: Map[Long, Long], unionFind: LocalUnionFind,
-                                tracker: SpaceTracker)
+  final case class DatasetStats(edges: DataFrame, rows: Long, unionFind: LocalUnionFind, tracker: SpaceTracker) {
+    def vertices: Long                 = unionFind.verticesSeen.size.toLong
+    def components: Long               = unionFind.componentCount
+    def componentSizes: Map[Long, Long] = unionFind.componentSizes
+  }
 
   /** Materialise a dataset and compute its Table II statistics. */
   def prepare(spark: SparkSession, build: SparkSession => DataFrame): DatasetStats = {
     val tracker = new SpaceTracker(algoName = "harness")
     val edges   = tracker.materialize("edges", GraphOps.asEdges(build(spark)))
     val uf      = LocalUnionFind.fromEdges(edges.df.collect().map(r => (r.getLong(0), r.getLong(1))))
-    DatasetStats(edges.df, edges.rows, uf.verticesSeen.size.toLong, uf.componentCount, uf.componentSizes,
-      uf, tracker)
+    DatasetStats(edges.df, edges.rows, uf, tracker)
   }
 
   /** Why `labels` (v, r) is not `uf`'s partition, or None if it is: every

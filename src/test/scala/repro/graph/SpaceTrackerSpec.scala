@@ -1,6 +1,11 @@
 package repro.graph
 
+import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
 import org.apache.spark.SparkException
+import org.apache.spark.sql.AnalysisException
+import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.sql.execution.command.CreateViewCommand
+import org.apache.spark.sql.util.QueryExecutionListener
 import repro.SparkSpec
 import repro.baselines.{Cracker, HashToMin, TwoPhase}
 import repro.core.RandomisedContraction
@@ -10,6 +15,35 @@ class SpaceTrackerSpec extends SparkSpec {
 
   private def table(t: SpaceTracker, name: String, rows: Long): Table =
     t.materialize(name, spark.range(rows).selectExpr("id as v", "id as w"))
+
+  private def views(): Set[String] = spark.catalog.listTables().collect().map(_.name).toSet
+
+  /** The temp views registered while `body` runs, as the session's query
+    * listener sees them. Listener events arrive in order, so once a marker
+    * view registered after `body` is seen, every view `body` registered was.
+    */
+  private def viewsRegistered(body: => Unit): Seq[String] = {
+    val seen = new LinkedBlockingQueue[String]
+    val listener = new QueryExecutionListener {
+      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
+        qe.logical match {
+          case c: CreateViewCommand => seen.put(c.name.table)
+          case _                    =>
+        }
+      override def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
+    }
+    val marker = "views_registered_marker"
+    spark.listenerManager.register(listener)
+    try {
+      body
+      spark.range(1).createOrReplaceTempView(marker)
+      Iterator.continually(Option(seen.poll(60, TimeUnit.SECONDS)).getOrElse(fail(s"$marker not seen in 60 s")))
+        .takeWhile(_ != marker).toSeq
+    } finally {
+      spark.listenerManager.unregister(listener)
+      spark.catalog.dropTempView(marker)
+    }
+  }
 
   test("create/drop tracks live and written rows like CREATE/DROP TABLE") {
     val t = new SpaceTracker
@@ -24,6 +58,43 @@ class SpaceTrackerSpec extends SparkSpec {
     assert(t.totalWrittenRows == 160L) // drops never reduce total written
     assertThrows[IllegalArgumentException](t.drop(a))          // no longer live
     assertThrows[IllegalArgumentException](table(t, "b", 1L))  // already live
+  }
+
+  test("a live table's view names it in spark.sql until the table is dropped") {
+    val before = views()
+    val t      = new SpaceTracker
+    val a      = table(t, "a", 42L)
+    val b      = table(t, "b", 7L)
+    table(t, "c", 1L) // never named in SQL: registers no view
+    val va = t.view(a)
+    assert(t.view(a) == va) // registered once
+    assert(spark.sql(s"select count(*) from $va").head().getLong(0) == 42L)
+    assert(spark.sql(s"select count(*) from ${t.view(b)}").head().getLong(0) == 7L)
+    assert((views() -- before).size == 2)
+    t.drop(a)
+    intercept[AnalysisException](spark.sql(s"select * from $va"))
+    assertThrows[IllegalArgumentException](t.view(a)) // no longer live
+    assert((views() -- before).size == 1)
+    t.dropAll()
+    assert(views() == before)
+  }
+
+  test("two trackers that each write a table E0 get distinct view names") {
+    val (t1, t2) = (new SpaceTracker, new SpaceTracker)
+    val (e1, e2) = (table(t1, "E0", 3L), table(t2, "E0", 5L))
+    assert(t1.view(e1) != t2.view(e2))
+    assert(spark.sql(s"select * from ${t1.view(e1)}").count() == 3L)
+    assert(spark.sql(s"select * from ${t2.view(e2)}").count() == 5L)
+    t1.dropAll()
+    assert(spark.sql(s"select * from ${t2.view(e2)}").count() == 5L)
+    t2.dropAll()
+  }
+
+  test("a Cracker run on streets 80×45 registers no view; an RC run does") {
+    val edges = Generators.streets(spark, 80, 45)
+    assert(viewsRegistered(Cracker.run(edges, seed = 1L).tracker.dropAll()).isEmpty)
+    assert(viewsRegistered(RandomisedContraction().run(Generators.path(spark, 16), seed = 1L).tracker.dropAll())
+      .nonEmpty)
   }
 
   test("cap violation throws BlowUpException") {
