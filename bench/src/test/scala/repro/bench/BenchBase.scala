@@ -10,16 +10,11 @@ trait BenchBase extends SparkSpec {
 
   override def beforeAll(): Unit = {
     super.beforeAll()
-    BenchBase.warmupOnce(spark)
+    BenchBase.warmup
   }
 }
 
 object BenchBase {
-  @volatile private var warmed = false
-  def warmupOnce(spark: org.apache.spark.sql.SparkSession): Unit = synchronized {
-    if (!warmed) {
-      repro.harness.BenchHarness.warmup(spark)
-      warmed = true
-    }
-  }
+  /** One warm-up per JVM: the first suite's `beforeAll` forces it. */
+  private lazy val warmup: Unit = repro.harness.BenchHarness.warmup(SparkSpec.shared)
 }

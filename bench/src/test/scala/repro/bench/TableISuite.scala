@@ -1,10 +1,10 @@
 package repro.bench
 
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.baselines.{HashToMin, TwoPhase}
-import repro.core.RandomisedContraction
+import repro.core.{CcAlgorithm, RandomisedContraction}
 import repro.datasets.Generators
-import repro.graph.{BlowUpException, SpaceTracker}
-import repro.harness.TableFormat
+import repro.harness.{BenchHarness, BenchResult, TableFormat}
 
 /** Table I — the complexity summary, validated empirically:
   *
@@ -16,69 +16,70 @@ import repro.harness.TableFormat
   * logarithmic — on both adversarial paths and R-MAT graphs, (b) the per-round
   * shrink factor γ staying below Theorem 1's 3/4 bound on average, (c) HM's
   * super-linear peak space on paths vs RC's linear peak, and (d) TP's rounds
-  * exceeding RC's (log² vs log) while its space stays linear.
+  * exceeding RC's (log² vs log) while its space stays linear. Every cell is
+  * measured and checked as in Tables III–V, under the harness's space cap.
   */
 class TableISuite extends BenchBase {
 
   private val sizes = Seq(4096L, 8192L, 16384L, 32768L)
 
+  /** `algo` on `build`'s graph: one harness cell, its edge table freed after. */
+  private def cell(dataset: String, build: SparkSession => DataFrame, algo: CcAlgorithm, seed: Long): BenchResult = {
+    val stats  = BenchHarness.prepare(spark, build)
+    val result = BenchHarness.runOne(stats, dataset, algo, seed)
+    stats.tracker.dropAll()
+    result
+  }
+
+  /** Mean ratio of edge rows between consecutive rounds (γ of Theorem 1),
+    * over the rounds that left edges behind.
+    */
+  private def meanShrink(r: BenchResult): Double = {
+    val rows   = r.roundEdgeRows
+    val ratios = rows.zip(rows.drop(1)).collect { case (a, b) if a > 0 && b > 0 => b.toDouble / a }
+    if (ratios.isEmpty) Double.NaN else ratios.sum / ratios.size
+  }
+
   test("Table I: empirical round and space complexity") {
-    val rows = scala.collection.mutable.ArrayBuffer.empty[Seq[String]]
-
-    // (a) + (b): RC rounds and shrink factor across doubling path sizes.
-    val rcRounds = sizes.map { n =>
-      val tracker = new SpaceTracker(algoName = "RC")
-      val run = RandomisedContraction().run(Generators.path(spark, n), tracker, seed = 5L)
-      tracker.dropAll()
-      val ratios = tracker.roundEdgeRows.sliding(2).collect {
-        case Seq(a, b) if a > 0 => b.toDouble / a
-      }.toSeq
-      val meanShrink = if (ratios.nonEmpty) ratios.sum / ratios.size else 0.0
-      rows += Seq(s"path $n", "RC", run.rounds.toString, f"$meanShrink%.2f",
-        f"${tracker.maxLiveRows.toDouble / (n - 1)}%.1f")
-      (n, run.rounds, meanShrink)
-    }
-    // Logarithmic rounds: +1 doubling adds ~constant rounds. Allow noise.
-    val increments = rcRounds.sliding(2).map { case Seq((_, r1, _), (_, r2, _)) => r2 - r1 }.toSeq
-    assert(increments.forall(_ <= 8), s"RC round growth per doubling too steep: $increments")
-    // Theorem 1: expected shrink ≤ 3/4 (edge-count shrink tracks vertex shrink
-    // on paths). Mean across rounds and sizes should sit clearly below 0.85.
-    val overallShrink = rcRounds.map(_._3).sum / rcRounds.size
-    assert(overallShrink < 0.85, f"mean shrink $overallShrink%.2f violates the contraction bound")
-
-    // RMAT: RC rounds stay logarithmic on scale-free graphs too.
-    val rmatRounds = Seq(12, 13, 14).map { sc =>
-      val run = RandomisedContraction().run(
-        Generators.rmat(spark, scale = sc, nEdges = 8L << sc), seed = 6L)
-      run.tracker.dropAll()
-      rows += Seq(s"rmat 2^$sc", "RC", run.rounds.toString, "", "")
-      run.rounds
-    }
-    assert(rmatRounds.max - rmatRounds.min <= 6, s"RMAT rounds not logarithmic: $rmatRounds")
-
-    // (c) HM peak space on paths is super-linear (blows the 40× cap);
-    //     RC stays linear on the same input.
-    val n  = 16384L
-    val hm = try {
-      val t = new SpaceTracker(capRows = (n - 1) * 40L, algoName = "HM")
-      HashToMin.run(Generators.path(spark, n), t, seed = 5L)
-      "finished (unexpected)"
-    } catch { case BlowUpException(_, live, cap) => s"blew cap ($live > $cap rows)" }
-    rows += Seq(s"path $n", "HM", "-", "-", hm)
-    assert(hm.startsWith("blew cap"), s"HM path space: $hm")
-
-    // (d) TP needs more rounds than RC (log² vs log) at equal linear space.
-    val tpT = new SpaceTracker(capRows = (n - 1) * 40L, algoName = "TP")
-    val tp  = TwoPhase.run(Generators.path(spark, n), tpT, seed = 5L)
-    tpT.dropAll()
-    val rcN = rcRounds.find(_._1 == n).get._2
-    rows += Seq(s"path $n", "TP", tp.rounds.toString, "", f"${tpT.maxLiveRows.toDouble / (n - 1)}%.1f")
-    assert(tp.rounds > rcN, s"TP (${tp.rounds}) should need more steps than RC ($rcN)")
+    val n    = 16384L
+    val rc   = sizes.map(m => cell(s"path $m", Generators.path(_, m), RandomisedContraction(), seed = 5L))
+    val rmat = Seq(12, 13, 14).map(sc =>
+      cell(s"rmat 2^$sc", Generators.rmat(_, scale = sc, nEdges = 8L << sc), RandomisedContraction(), seed = 6L))
+    val hm   = cell(s"path $n", Generators.path(_, n), HashToMin, seed = 5L)
+    val tp   = cell(s"path $n", Generators.path(_, n), TwoPhase, seed = 5L)
 
     val table = TableFormat.render(
-      Seq("input", "algo", "rounds", "mean shrink", "peak rows / input"), rows.toSeq)
+      Seq("input", "algo", "rounds", "mean shrink", "peak rows / input"),
+      (rc ++ rmat ++ Seq(hm, tp)).map(r => Seq(r.dataset, r.algo,
+        if (r.status == "ok") r.rounds.toString else r.status,
+        if (r.algo == "RC") f"${meanShrink(r)}%.2f" else "",
+        f"${r.maxLiveRows.toDouble / r.inputRows}%.1f")))
     println("\n=== Table I (empirical complexity check) ===")
     println(table)
     TableFormat.save("table1_complexity.txt", table)
+
+    val finished = rc ++ rmat :+ tp
+    assert(finished.forall(_.status == "ok"), s"runs not ok: ${finished.map(r => (r.dataset, r.algo, r.status))}")
+
+    // (a) + (b): RC rounds and shrink factor across doubling path sizes.
+    // Logarithmic rounds: +1 doubling adds ~constant rounds. Allow noise.
+    val increments = rc.map(_.rounds).sliding(2).map { case Seq(r1, r2) => r2 - r1 }.toSeq
+    assert(increments.forall(_ <= 8), s"RC round growth per doubling too steep: $increments")
+    // Theorem 1: expected shrink ≤ 3/4 (edge-count shrink tracks vertex shrink
+    // on paths). Mean across rounds and sizes should sit clearly below 0.85.
+    val overallShrink = rc.map(meanShrink).sum / rc.size
+    assert(overallShrink < 0.85, f"mean shrink $overallShrink%.2f violates the contraction bound")
+
+    // RMAT: RC rounds stay logarithmic on scale-free graphs too.
+    val rmatRounds = rmat.map(_.rounds)
+    assert(rmatRounds.max - rmatRounds.min <= 6, s"RMAT rounds not logarithmic: $rmatRounds")
+
+    // (c) HM peak space on paths is super-linear (blows the harness cap);
+    //     RC stays linear on the same input.
+    assert(hm.status == "—", s"HM path space: ${hm.status}, peak ${hm.maxLiveRows} rows")
+
+    // (d) TP needs more rounds than RC (log² vs log) at equal linear space.
+    val rcN = rc(sizes.indexOf(n)).rounds
+    assert(tp.rounds > rcN, s"TP (${tp.rounds}) should need more steps than RC ($rcN)")
   }
 }

@@ -9,7 +9,7 @@ import org.apache.spark.sql.SparkSession
   * The paper loads its finite-field arithmetic into the database as a C UDF
   * (`axplusb`, Fig. 7, via `CREATE FUNCTION`); Spark's equivalent is
   * `spark.udf.register`. RC calls the functions by name in its SQL text, the
-  * image graph builder through `call_function`. RC's functions take a round's
+  * image graph builder through a GF(2^64) round's `hash`. RC's functions take a round's
   * keys as one 16-byte BINARY literal: codegen prints a `bigint` literal into
   * the generated Java, which made each round's queries new classes to compile,
   * but passes a BINARY one by reference, so each query shape compiles once for

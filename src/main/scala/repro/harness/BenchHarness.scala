@@ -6,8 +6,9 @@ import repro.core.{CcAlgorithm, RandomisedContraction}
 import repro.datasets.{BenchDataset, DatasetCatalog, Generators}
 import repro.graph.{BlowUpException, GraphOps, LocalUnionFind, SpaceTracker}
 
-/** One measured algorithm × dataset cell of Tables III–V.
+/** One measured algorithm × dataset cell of Tables I and III–V.
   *
+  * @param roundEdgeRows the rows left after each round (Table I's shrink γ).
   * @param status  "ok", or "—" when the run hit the space cap (the analogue
   *                of the paper's did-not-finish entries), or "BAD" if the
   *                labelling disagreed with union-find (never expected).
@@ -16,7 +17,7 @@ final case class BenchResult(
     dataset: String, algo: String,
     seconds: Double, rounds: Int,
     inputRows: Long, maxLiveRows: Long, totalWrittenRows: Long,
-    status: String) {
+    roundEdgeRows: Seq[Long], status: String) {
   def inputMb: Double   = inputRows * 16.0 / 1e6
   def maxMb: Double     = maxLiveRows * 16.0 / 1e6
   def writtenMb: Double = totalWrittenRows * 16.0 / 1e6
@@ -68,25 +69,26 @@ object BenchHarness {
 
   /** Time one algorithm on a prepared dataset; check its labelling is
     * union-find's partition. The run's tables and its labels are freed
-    * before it returns.
+    * before it returns. A run that hits the cap differs only in its rounds
+    * (those it finished), its seconds (until the blow-up) and its status.
     */
   def runOne(ds: DatasetStats, dataset: String, algo: CcAlgorithm, seed: Long = 42L): BenchResult = {
     val tracker = new SpaceTracker(capRows = capRows(ds.rows), algoName = algo.name)
     val start   = System.nanoTime()
-    try {
-      val run      = algo.run(ds.edges, tracker, seed)
-      val labels   = ds.tracker.materialize("labels", run.labels)
-      val seconds  = (System.nanoTime() - start) / 1e9
-      val mismatch = partitionMismatch(labels.df, ds.unionFind)
-      ds.tracker.drop(labels)
-      BenchResult(dataset, algo.name, seconds, run.rounds,
-        ds.rows, tracker.maxLiveRows, tracker.totalWrittenRows, if (mismatch.isEmpty) "ok" else "BAD")
-    } catch {
-      case BlowUpException(_, liveRows, _) =>
-        val seconds = (System.nanoTime() - start) / 1e9
-        BenchResult(dataset, algo.name, seconds, tracker.roundEdgeRows.size,
-          ds.rows, liveRows, tracker.totalWrittenRows, "—")
-    } finally tracker.dropAll()
+    def since   = (System.nanoTime() - start) / 1e9
+    val (rounds, seconds, status) =
+      try {
+        val run    = algo.run(ds.edges, tracker, seed)
+        val labels = ds.tracker.materialize("labels", run.labels)
+        val took   = since
+        val ok     = partitionMismatch(labels.df, ds.unionFind).isEmpty
+        ds.tracker.drop(labels)
+        (run.rounds, took, if (ok) "ok" else "BAD")
+      } catch {
+        case _: BlowUpException => (tracker.roundEdgeRows.size, since, "—")
+      } finally tracker.dropAll()
+    BenchResult(dataset, algo.name, seconds, rounds, ds.rows,
+      tracker.maxLiveRows, tracker.totalWrittenRows, tracker.roundEdgeRows, status)
   }
 
   /** Run the full Tables III–V sweep. */

@@ -2,6 +2,7 @@ package repro.imaging
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.core.FiniteField64
 import repro.gf.GfFunctions
 import repro.graph.GraphOps
 
@@ -59,15 +60,11 @@ object ImageGraph {
     floor(lerp(c0, c1, ft)).cast("long")
   }
 
-  /** Fixed GF(2^64) bijection used to scramble pixel IDs. */
+  /** Fixed GF(2^64) bijection used to scramble pixel IDs: one RC round drawn from `seed`. */
   def randomizeIds(df: DataFrame, cols: Seq[String], seed: Long): DataFrame = {
     GfFunctions.ensureRegistered(df.sparkSession)
-    val rng = new scala.util.Random(seed)
-    var a   = 0L
-    while (a == 0L) a = rng.nextLong()
-    val b = rng.nextLong()
-    cols.foldLeft(df)((d, c) =>
-      d.withColumn(c, call_function("gf64_affine", lit(GfFunctions.key(a, b)), col(c).cast("long"))))
+    val round = FiniteField64.nextRound(new scala.util.Random(seed))
+    cols.foldLeft(df)((d, c) => d.withColumn(c, expr(round.hash(s"cast($c as bigint)"))))
   }
 
   /** Candidate edges p–(p + d) of a `width × height × frames` lattice along

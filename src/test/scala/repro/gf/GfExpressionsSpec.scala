@@ -6,9 +6,9 @@ import repro.core.{Encryption, FiniteField64, FinitePrimeField}
 import scala.util.Random
 
 /** The registered functions must agree with their driver-side counterparts
-  * whether invoked through `call_function` or through SQL text — both call
-  * paths are exercised by the algorithms. So must GF(p)'s hash, which RC runs
-  * as plain SQL arithmetic.
+  * whether invoked through SQL text, as RC and the image graph builder call
+  * them, or through `call_function`. So must GF(p)'s hash, which RC runs as
+  * plain SQL arithmetic.
   */
 class GfExpressionsSpec extends SparkSpec {
 

@@ -23,6 +23,7 @@ class HarnessSpec extends SparkSpec {
     assert(stats.vertices == 2500L)
     assert(stats.components == 1L)
     assert(stats.componentSizes.values.sum == 2500L)
+    stats.tracker.dropAll()
   }
 
   test("runOne returns ok with positive time, rounds and space for RC") {
@@ -33,12 +34,16 @@ class HarnessSpec extends SparkSpec {
     assert(r.rounds >= 1)
     assert(r.maxLiveRows >= r.inputRows) // at least the doubled setup table
     assert(r.totalWrittenRows >= r.maxLiveRows)
+    assert(r.roundEdgeRows.size == r.rounds && r.roundEdgeRows.last == 0L, r.roundEdgeRows)
+    stats.tracker.dropAll()
   }
 
   test("runOne reports '—' when the algorithm hits the space cap (HM on a path)") {
     val stats = BenchHarness.prepare(spark, tinyPath.build)
     val r     = BenchHarness.runOne(stats, "tiny-path", HashToMin)
     assert(r.status == "—", s"expected blow-up, got ${r.status} with max=${r.maxLiveRows}")
+    assert(r.maxLiveRows > BenchHarness.capRows(r.inputRows)) // the peak that blew the cap
+    stats.tracker.dropAll()
   }
 
   test("runOne reports BAD for a wrong partition with the right vertex and component counts") {
@@ -51,6 +56,7 @@ class HarnessSpec extends SparkSpec {
     }
     assert((stats.vertices, stats.components) == (4L, 2L))
     assert(BenchHarness.runOne(stats, "two-edges", wrong).status == "BAD")
+    stats.tracker.dropAll()
   }
 
   test("sweep covers all dataset × algorithm cells") {
@@ -70,10 +76,10 @@ class HarnessSpec extends SparkSpec {
 
   test("table renderers produce one row per dataset and a '—' cell for DNFs") {
     val rs = Seq(
-      BenchResult("d1", "RC", 1.5, 4, 100, 400, 900, "ok"),
-      BenchResult("d1", "HM", 2.0, 3, 100, 4000, 9000, "—"),
-      BenchResult("d2", "RC", 0.5, 2, 50, 200, 450, "ok"),
-      BenchResult("d2", "HM", 0.7, 2, 50, 210, 500, "ok"))
+      BenchResult("d1", "RC", 1.5, 4, 100, 400, 900, Seq(90, 30, 8, 0), "ok"),
+      BenchResult("d1", "HM", 2.0, 3, 100, 4000, 9000, Seq(200, 800, 3000), "—"),
+      BenchResult("d2", "RC", 0.5, 2, 50, 200, 450, Seq(20, 0), "ok"),
+      BenchResult("d2", "HM", 0.7, 2, 50, 210, 500, Seq(100, 100), "ok"))
     val t3 = TableFormat.tableIII(rs, Seq("RC", "HM"))
     assert(t3.linesIterator.size == 4) // header + separator + 2 rows
     assert(t3.contains("—"))
@@ -87,7 +93,7 @@ class HarnessSpec extends SparkSpec {
   }
 
   test("MB conversions use 16 bytes per row") {
-    val r = BenchResult("d", "RC", 1.0, 1, 1_000_000L, 2_000_000L, 3_000_000L, "ok")
+    val r = BenchResult("d", "RC", 1.0, 1, 1_000_000L, 2_000_000L, 3_000_000L, Seq(0L), "ok")
     assert(math.abs(r.inputMb - 16.0) < 1e-9)
     assert(math.abs(r.maxMb - 32.0) < 1e-9)
     assert(math.abs(r.writtenMb - 48.0) < 1e-9)
