@@ -36,7 +36,7 @@ case object Cracker extends CcAlgorithm {
     // Bidirectional, loop-free working graph.
     var g     = tracker.materialize("G0", GraphOps.undirect(GraphOps.canonical(raw)))
     var trees = List.empty[Table] // accumulated tree-edge tables
-    val rounds = Rounds(name)(g.rows > 0L) { round =>
+    Rounds(name)(g.rows > 0L) { round =>
       // 1. Min-Selection: vmin over the closed neighbourhood, told to N[u].
       val m = g.df.groupBy(col("v")).agg(least(col("v"), min(col("w"))).as("vmin"))
       val h = g.df.join(m, "v").select(col("w").as("node"), col("vmin"))
@@ -89,6 +89,6 @@ case object Cracker extends CcAlgorithm {
     }
 
     val labels = GraphOps.labelOrSelf(verts, p.df.select(col("child").as("v"), col("parent").as("r")))
-    CcRun(labels, rounds, tracker)
+    CcRun(labels, tracker)
   }
 }

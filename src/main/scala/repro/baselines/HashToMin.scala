@@ -29,7 +29,7 @@ case object HashToMin extends CcAlgorithm {
       .distinct()
       .select(col("v"), col("w").as("u"))
     var c = tracker.materialize("C0", init)
-    val rounds = Rounds(name)(c.rows != 0L) { round =>
+    Rounds(name)(c.rows != 0L) { round =>
       val m  = c.df.groupBy(col("v")).agg(min(col("u")).as("m"))
       val cm = c.df.join(m, "v") // (v, u, m)
       val toMin = cm.select(col("m").as("v"), col("u"))
@@ -41,6 +41,6 @@ case object HashToMin extends CcAlgorithm {
       c = nc
       !fixpoint
     }
-    CcRun(c.df.groupBy(col("v")).agg(min(col("u")).as("r")), rounds, tracker)
+    CcRun(c.df.groupBy(col("v")).agg(min(col("u")).as("r")), tracker)
   }
 }

@@ -46,9 +46,10 @@ case object TwoPhase extends CcAlgorithm {
     var e     = tracker.materialize("E0", GraphOps.canonical(raw))
     // One step is two rounds, a large-star and a small-star; its tables are
     // numbered by the round it starts at.
-    val rounds = Rounds(name, perStep = 2)(e.rows != 0L) { round =>
-      val ls = tracker.materialize(s"L${round - 2}", largeStar(e.df))
-      val ss = tracker.materialize(s"S${round - 2}", smallStar(ls.df))
+    Rounds(name)(e.rows != 0L) { step =>
+      val ls = tracker.materialize(s"L${2 * step - 2}", largeStar(e.df))
+      tracker.recordRound(ls.rows)
+      val ss = tracker.materialize(s"S${2 * step - 2}", smallStar(ls.df))
       tracker.drop(ls)
       tracker.recordRound(ss.rows)
       val unchanged = ss.sameRows(e)
@@ -58,6 +59,6 @@ case object TwoPhase extends CcAlgorithm {
     }
     // Fixpoint edges are (leaf, centre) stars; every non-centre has one parent.
     val parents = e.df.groupBy(col("v")).agg(min(col("w")).as("r"))
-    CcRun(GraphOps.labelOrSelf(verts, parents), rounds, tracker)
+    CcRun(GraphOps.labelOrSelf(verts, parents), tracker)
   }
 }

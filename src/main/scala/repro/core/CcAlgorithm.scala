@@ -7,12 +7,13 @@ import repro.graph.SpaceTracker
   *
   * @param labels  DataFrame (v: long, r: long) — one row per vertex of the
   *                input, two vertices share `r` iff they are connected (§III).
-  * @param rounds  number of contraction / message rounds executed.
-  * @param tracker space accounting for Tables IV and V. It holds the table
-  *                `labels` is read from, which stays live until the caller
-  *                calls `run.tracker.dropAll()`.
+  * @param tracker space accounting for Tables IV and V, and the record of
+  *                rounds. It holds the table `labels` is read from, which
+  *                stays live until the caller calls `run.tracker.dropAll()`.
   */
-final case class CcRun(labels: DataFrame, rounds: Int, tracker: SpaceTracker)
+final case class CcRun(labels: DataFrame, tracker: SpaceTracker) {
+  def rounds: Int = tracker.roundEdgeRows.size
+}
 
 /** Common surface for Randomised Contraction and all baseline algorithms, so
   * the bench harness (Tables III–V) can sweep algorithms × datasets.
@@ -24,7 +25,8 @@ trait CcAlgorithm {
   /** Compute connected components of an undirected edge table (v, w).
     *
     * Loop edges mark isolated vertices; duplicates and both orientations are
-    * tolerated. Must label every vertex ID occurring in `edges`.
+    * tolerated. Must label every vertex ID occurring in `edges`, and record
+    * each round's row count with `tracker.recordRound`.
     *
     * @param tracker space accounting; throws [[repro.graph.BlowUpException]]
     *                if the configured cap is exceeded (harness renders "—").
@@ -44,20 +46,16 @@ trait CcAlgorithm {
 object Rounds {
   /** Runs `step(round)` while `start` (before the first round) or the last
     * step's result asks for another round, and fails the run once more than
-    * `max` rounds would be needed. Each step counts as `perStep` rounds. The
-    * default `max` is a safety valve only: RC and its comparators expect
-    * O(log |V|) or O(log² |V|) rounds.
-    *
-    * @return the rounds run
+    * `max` rounds would be needed. The default `max` is a safety valve only:
+    * RC and its comparators expect O(log |V|) or O(log² |V|) rounds.
     */
-  def apply(algo: String, max: Int = 10000, perStep: Int = 1)(start: Boolean)(step: Int => Boolean): Int = {
+  def apply(algo: String, max: Int = 10000)(start: Boolean)(step: Int => Boolean): Unit = {
     var round = 0
     var more  = start
     while (more) {
-      round += perStep
+      round += 1
       require(round <= max, s"$algo did not converge in $max rounds")
       more = step(round)
     }
-    round
   }
 }

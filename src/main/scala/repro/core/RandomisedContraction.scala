@@ -111,7 +111,7 @@ final case class RandomisedContraction(method: Randomisation = FiniteField64,
     var e     = tracker.materialize("E0", GraphOps.undirect(GraphOps.asEdges(edges)))
     var l     = Option.empty[Table]                            // Fig. 3: running L
     val stack = mutable.Stack.empty[(Table, AffineRoundHash)] // Fig. 4: R_i with h_i
-    val rounds = Rounds(name)(e.rows != 0L) { round =>
+    Rounds(name)(e.rows != 0L) { round =>
       val (r, h) = representatives(e, round)
       val next = create(s"E$round",
         s"""select distinct r1.r as v, r2.r as w
@@ -128,12 +128,12 @@ final case class RandomisedContraction(method: Randomisation = FiniteField64,
       e.rows != 0L
     }
     tracker.drop(e) // empty: the rounds ran until no edge was left
-    if (rounds == 0) return CcRun(spark.sql("select id as v, id as r from range(0)"), 0, tracker)
+    if (l.isEmpty && stack.isEmpty) return CcRun(spark.sql("select id as v, id as r from range(0)"), tracker)
 
     val labels = variant match {
       case Variant.Deterministic => l.get
       case Variant.Fast          => composeBackToFront(stack)
     }
-    CcRun(labels.df, rounds, tracker)
+    CcRun(labels.df, tracker)
   }
 }

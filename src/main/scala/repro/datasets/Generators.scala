@@ -8,15 +8,15 @@ import repro.imaging.ImageGraph
 /** Synthetic graph generators for the non-image datasets of Table II. */
 object Generators {
 
-  /** Sequentially numbered path graph on n vertices (IDs offset..offset+n-1).
+  /** Sequentially numbered path graph on n vertices (IDs 0..n-1).
     *
     * `Path100M` analogue: the worst case for BFS (diameter rounds), for
     * deterministic contraction (§V-B, Fig. 2a), and a quadratic-space input
     * for Hash-to-Min and Cracker.
     */
-  def path(spark: SparkSession, n: Long, offset: Long = 0L): DataFrame = {
+  def path(spark: SparkSession, n: Long): DataFrame = {
     require(n >= 2, "a path needs at least 2 vertices")
-    GraphOps.range(spark, n - 1).select((col("id") + offset).as("v"), (col("id") + offset + 1).as("w"))
+    GraphOps.range(spark, n - 1).select(col("id").as("v"), (col("id") + 1).as("w"))
   }
 
   /** Reverse the low `bits` bits of a non-negative long column. */

@@ -1,6 +1,5 @@
 package repro.graph
 
-import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import scala.collection.mutable
@@ -41,7 +40,6 @@ final class SpaceTracker(val capRows: Long = Long.MaxValue, val algoName: String
   /** A live table: its storage, its rows, and its view with the view's session once it has one. */
   private final case class Live(rdd: RDD[Row], rows: Long, view: Option[(String, SparkSession)])
 
-  private val id           = SpaceTracker.trackers.incrementAndGet()
   private val live         = mutable.LinkedHashMap.empty[String, Live]
   private var maxLive      = 0L
   private var written      = 0L
@@ -86,16 +84,16 @@ final class SpaceTracker(val capRows: Long = Long.MaxValue, val algoName: String
     } catch { case e: Throwable => dropAll(); throw e }
   }
 
-  /** The name of a live table in SQL text: a temp view, unique to this
-    * tracker, registered in the table's own session the first time it is
-    * asked for. A table never named in SQL registers no view.
+  /** The name of a live table in SQL text: a temp view, named after its RDD
+    * (unique in the SparkContext), registered in the table's own session the
+    * first time it is asked for. A table never named in SQL registers no view.
     */
   def view(table: Table): String = {
     val entry = liveEntry(table)
     entry.view match {
       case Some((name, _)) => name
       case None =>
-        val name = s"t${id}_${table.name}"
+        val name = s"t${entry.rdd.id}_${table.name}"
         table.df.createOrReplaceTempView(name)
         live(table.name) = entry.copy(view = Some(name -> table.df.sparkSession))
         name
@@ -124,15 +122,11 @@ final class SpaceTracker(val capRows: Long = Long.MaxValue, val algoName: String
     entry.rdd.unpersist(blocking = true)
   }
 
-  /** Record the edge-table size after a contraction round (shrink telemetry). */
+  /** Record a round by the rows of the table it leaves (RC: E, whose shrink is γ); one entry per round. */
   def recordRound(edgeRows: Long): Unit = roundRowsBuf += edgeRows
 
   def maxLiveRows: Long        = maxLive
   def totalWrittenRows: Long   = written
   def liveRows: Long           = live.valuesIterator.map(_.rows).sum
   def roundEdgeRows: Seq[Long] = roundRowsBuf.toSeq
-}
-
-object SpaceTracker {
-  private val trackers = new AtomicLong // numbers the trackers, so no two share a view name
 }

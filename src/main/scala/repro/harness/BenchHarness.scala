@@ -8,16 +8,16 @@ import repro.graph.{BlowUpException, GraphOps, LocalUnionFind, SpaceTracker}
 
 /** One measured algorithm × dataset cell of Tables I and III–V.
   *
-  * @param roundEdgeRows the rows left after each round (Table I's shrink γ).
+  * @param roundEdgeRows the rows left after each round (its length is the rounds, its shrink Table I's γ).
   * @param status  "ok", or "—" when the run hit the space cap (the analogue
   *                of the paper's did-not-finish entries), or "BAD" if the
   *                labelling disagreed with union-find (never expected).
   */
 final case class BenchResult(
-    dataset: String, algo: String,
-    seconds: Double, rounds: Int,
+    dataset: String, algo: String, seconds: Double,
     inputRows: Long, maxLiveRows: Long, totalWrittenRows: Long,
     roundEdgeRows: Seq[Long], status: String) {
+  def rounds: Int       = roundEdgeRows.size
   def inputMb: Double   = inputRows * 16.0 / 1e6
   def maxMb: Double     = maxLiveRows * 16.0 / 1e6
   def writtenMb: Double = totalWrittenRows * 16.0 / 1e6
@@ -69,25 +69,24 @@ object BenchHarness {
 
   /** Time one algorithm on a prepared dataset; check its labelling is
     * union-find's partition. The run's tables and its labels are freed
-    * before it returns. A run that hits the cap differs only in its rounds
-    * (those it finished), its seconds (until the blow-up) and its status.
+    * before it returns. A run that hits the cap differs only in its seconds
+    * (until the blow-up) and its status; its rounds are those it recorded.
     */
   def runOne(ds: DatasetStats, dataset: String, algo: CcAlgorithm, seed: Long = 42L): BenchResult = {
     val tracker = new SpaceTracker(capRows = capRows(ds.rows), algoName = algo.name)
     val start   = System.nanoTime()
     def since   = (System.nanoTime() - start) / 1e9
-    val (rounds, seconds, status) =
+    val (seconds, status) =
       try {
-        val run    = algo.run(ds.edges, tracker, seed)
-        val labels = ds.tracker.materialize("labels", run.labels)
+        val labels = ds.tracker.materialize("labels", algo.run(ds.edges, tracker, seed).labels)
         val took   = since
         val ok     = partitionMismatch(labels.df, ds.unionFind).isEmpty
         ds.tracker.drop(labels)
-        (run.rounds, took, if (ok) "ok" else "BAD")
+        (took, if (ok) "ok" else "BAD")
       } catch {
-        case _: BlowUpException => (tracker.roundEdgeRows.size, since, "—")
+        case _: BlowUpException => (since, "—")
       } finally tracker.dropAll()
-    BenchResult(dataset, algo.name, seconds, rounds, ds.rows,
+    BenchResult(dataset, algo.name, seconds, ds.rows,
       tracker.maxLiveRows, tracker.totalWrittenRows, tracker.roundEdgeRows, status)
   }
 

@@ -20,7 +20,7 @@ case object BfsMinLabel extends CcAlgorithm {
     val raw = GraphOps.asEdges(edges)
     val b   = tracker.materialize("B", GraphOps.undirect(GraphOps.canonical(raw)))
     var l   = tracker.materialize("L0", GraphOps.vertices(raw).select(col("v"), col("v").as("r")))
-    val rounds = Rounds(name, 2000000)(l.rows != 0L) { round =>
+    Rounds(name, 2000000)(l.rows != 0L) { round =>
       // Min of neighbours' current representatives.
       val nbrMin = b.df.join(l.df.select(col("v").as("lw"), col("r")), col("w") === col("lw"))
         .groupBy(col("v")).agg(min(col("r")).as("nr"))
@@ -28,11 +28,12 @@ case object BfsMinLabel extends CcAlgorithm {
         .select(col("v"), least(col("r"), coalesce(col("nr"), col("r"))).as("r"),
                 (col("nr").isNotNull && col("nr") < col("r")).cast("int").as("changed"))
       val nl      = tracker.materialize(s"L$round", improved)
+      tracker.recordRound(nl.rows)
       val changed = nl.df.agg(sum(col("changed"))).head().getLong(0)
       tracker.drop(l)
       l = nl
       changed != 0L
     }
-    CcRun(l.df.select(col("v"), col("r")), rounds, tracker)
+    CcRun(l.df.select(col("v"), col("r")), tracker)
   }
 }

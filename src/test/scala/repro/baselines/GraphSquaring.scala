@@ -29,7 +29,7 @@ case object GraphSquaring extends CcAlgorithm {
     val raw   = GraphOps.asEdges(edges)
     val verts = GraphOps.vertices(raw)
     var e     = tracker.materialize("E0", GraphOps.canonical(raw))
-    val rounds = Rounds(name, 100)(e.rows != 0L) { round =>
+    Rounds(name, 100)(e.rows != 0L) { round =>
       val ne = tracker.materialize(s"E$round", square(e.df))
       tracker.drop(e)
       tracker.recordRound(ne.rows)
@@ -41,6 +41,6 @@ case object GraphSquaring extends CcAlgorithm {
     // In the transitive closure, min over the closed neighbourhood is the
     // component minimum.
     val m = GraphOps.undirect(e.df).groupBy(col("v")).agg(least(col("v"), min(col("w"))).as("r"))
-    CcRun(GraphOps.labelOrSelf(verts, m), rounds, tracker)
+    CcRun(GraphOps.labelOrSelf(verts, m), tracker)
   }
 }

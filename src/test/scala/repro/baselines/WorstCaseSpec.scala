@@ -47,7 +47,7 @@ class WorstCaseSpec extends SparkSpec {
 
   test("Hash-to-Min exceeds a linear space cap on a sequential path (Table III '—')") {
     val n       = 4096L
-    val cap     = (n - 1) * 40L // the harness cap: 40 × input rows
+    val cap     = (n - 1) * 40L // 40 × input rows: the harness's linear cap without its 2 M-row floor
     val tracker = new SpaceTracker(capRows = cap, algoName = "HM")
     assertThrows[BlowUpException] {
       HashToMin.run(Graphs.toDf(spark, pathEdges(n)), tracker, seed = 1L)

@@ -40,7 +40,7 @@ class RandomisedContractionSpec extends SparkSpec {
   }
 
   for ((cfgName, method, variant, needsSmallIds) <- configs; g <- Graphs.zoo) {
-    if (!needsSmallIds || g.smallIds) {
+    if (!needsSmallIds || Graphs.inGfp(g.edges)) {
       test(s"$cfgName labels ${g.name} correctly") {
         val run = RandomisedContraction(method, variant).run(Graphs.toDf(spark, g.edges), seed = 5L)
         Graphs.assertPartition(run.labels, g.edges)
@@ -72,7 +72,7 @@ class RandomisedContractionSpec extends SparkSpec {
     test(s"$cfgName: random graphs with extreme IDs, as a partition or rejected (ScalaCheck)") {
       val prop = Prop.forAllNoShrink(extremeIdGraph, Gen.long) { (edges, seed) =>
         def run() = RandomisedContraction(method, variant).run(Graphs.toDf(spark, edges), seed = seed)
-        if (needsSmallIds && edges.flatMap { case (v, w) => Seq(v, w) }.exists(x => x < 0 || x >= ModP.P))
+        if (needsSmallIds && !Graphs.inGfp(edges))
           assertRejectsOutsideGfp(run())
         else Graphs.assertPartition(run().labels, edges)
         true
@@ -138,15 +138,16 @@ class RandomisedContractionSpec extends SparkSpec {
     }
   }
 
+  private def labelMap(run: CcRun): Map[Long, Long] =
+    run.labels.collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+
   test("runs are deterministic given the seed") {
     val edges = Graphs.randomGnp(40, 0.08, 9)
     val df    = Graphs.toDf(spark, edges)
     val a     = RandomisedContraction().run(df, seed = 123L)
     val b     = RandomisedContraction().run(df, seed = 123L)
     assert(a.rounds == b.rounds)
-    val la = a.labels.collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    val lb = b.labels.collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    assert(la == lb)
+    assert(labelMap(a) == labelMap(b))
   }
 
   test("different seeds generally produce different (but equivalent) labels") {
@@ -156,6 +157,7 @@ class RandomisedContractionSpec extends SparkSpec {
     val b     = RandomisedContraction().run(df, seed = 2L)
     Graphs.assertPartition(a.labels, edges)
     Graphs.assertPartition(b.labels, edges)
+    assert(labelMap(a) != labelMap(b))
   }
 
   test("labels are unique per component (bijective relabelling, §V-D)") {
@@ -170,7 +172,7 @@ class RandomisedContractionSpec extends SparkSpec {
     val sizes = run.tracker.roundEdgeRows
     assert(sizes.nonEmpty)
     assert(sizes.last == 0L)
-    assert(run.rounds == sizes.length)
+    assert(sizes.zip(sizes.drop(1)).forall { case (a, b) => b <= a }, sizes)
   }
 
   test("isolated vertices leave the computation after round 1 (loop-edge input)") {

@@ -17,11 +17,6 @@ class GeneratorsSpec extends SparkSpec {
     assert(LocalUnionFind.fromEdges(e).componentCount == 1)
   }
 
-  test("path honours the offset") {
-    val e = collectEdges(Generators.path(spark, 5, offset = 1000))
-    assert(e == Seq((1000L, 1001L), (1001L, 1002L), (1002L, 1003L), (1003L, 1004L)))
-  }
-
   test("path rejects n < 2") {
     assertThrows[IllegalArgumentException](Generators.path(spark, 1))
   }

@@ -34,7 +34,10 @@ class HarnessSpec extends SparkSpec {
     assert(r.rounds >= 1)
     assert(r.maxLiveRows >= r.inputRows) // at least the doubled setup table
     assert(r.totalWrittenRows >= r.maxLiveRows)
-    assert(r.roundEdgeRows.size == r.rounds && r.roundEdgeRows.last == 0L, r.roundEdgeRows)
+    assert(r.roundEdgeRows.last == 0L, r.roundEdgeRows)
+    val run = RandomisedContraction().run(stats.edges, seed = 42L)
+    assert(r.rounds == run.rounds)
+    run.tracker.dropAll()
     stats.tracker.dropAll()
   }
 
@@ -52,7 +55,7 @@ class HarnessSpec extends SparkSpec {
     val wrong = new CcAlgorithm {
       val name = "wrong"
       def run(edges: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = // {1, 3} and {2, 4}
-        CcRun(Seq((1L, 1L), (3L, 1L), (2L, 2L), (4L, 2L)).toDF("v", "r"), 1, tracker)
+        CcRun(Seq((1L, 1L), (3L, 1L), (2L, 2L), (4L, 2L)).toDF("v", "r"), tracker)
     }
     assert((stats.vertices, stats.components) == (4L, 2L))
     assert(BenchHarness.runOne(stats, "two-edges", wrong).status == "BAD")
@@ -76,10 +79,10 @@ class HarnessSpec extends SparkSpec {
 
   test("table renderers produce one row per dataset and a '—' cell for DNFs") {
     val rs = Seq(
-      BenchResult("d1", "RC", 1.5, 4, 100, 400, 900, Seq(90, 30, 8, 0), "ok"),
-      BenchResult("d1", "HM", 2.0, 3, 100, 4000, 9000, Seq(200, 800, 3000), "—"),
-      BenchResult("d2", "RC", 0.5, 2, 50, 200, 450, Seq(20, 0), "ok"),
-      BenchResult("d2", "HM", 0.7, 2, 50, 210, 500, Seq(100, 100), "ok"))
+      BenchResult("d1", "RC", 1.5, 100, 400, 900, Seq(90, 30, 8, 0), "ok"),
+      BenchResult("d1", "HM", 2.0, 100, 4000, 9000, Seq(200, 800, 3000), "—"),
+      BenchResult("d2", "RC", 0.5, 50, 200, 450, Seq(20, 0), "ok"),
+      BenchResult("d2", "HM", 0.7, 50, 210, 500, Seq(100, 100), "ok"))
     val t3 = TableFormat.tableIII(rs, Seq("RC", "HM"))
     assert(t3.linesIterator.size == 4) // header + separator + 2 rows
     assert(t3.contains("—"))
@@ -93,7 +96,7 @@ class HarnessSpec extends SparkSpec {
   }
 
   test("MB conversions use 16 bytes per row") {
-    val r = BenchResult("d", "RC", 1.0, 1, 1_000_000L, 2_000_000L, 3_000_000L, Seq(0L), "ok")
+    val r = BenchResult("d", "RC", 1.0, 1_000_000L, 2_000_000L, 3_000_000L, Seq(0L), "ok")
     assert(math.abs(r.inputMb - 16.0) < 1e-9)
     assert(math.abs(r.maxMb - 32.0) < 1e-9)
     assert(math.abs(r.writtenMb - 48.0) < 1e-9)

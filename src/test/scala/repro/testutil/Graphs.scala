@@ -2,6 +2,7 @@ package repro.testutil
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.scalatest.Assertions._
+import repro.gf.ModP
 import repro.graph.LocalUnionFind
 import repro.harness.BenchHarness
 import scala.util.Random
@@ -11,10 +12,11 @@ import scala.util.Random
   */
 object Graphs {
 
-  /** @param smallIds true iff all IDs fit in [0, 2^31-1) — required by the
-    *                 GF(p) randomisation method.
-    */
-  final case class G(name: String, edges: Seq[(Long, Long)], smallIds: Boolean = true)
+  final case class G(name: String, edges: Seq[(Long, Long)])
+
+  /** Every ID lies in [0, p) = [0, 2^31-1), the domain of the GF(p) randomisation method. */
+  def inGfp(edges: Seq[(Long, Long)]): Boolean =
+    edges.forall { case (v, w) => Seq(v, w).forall(x => x >= 0L && x < ModP.P) }
 
   private def pathEdges(ids: Seq[Long]): Seq[(Long, Long)] = ids.zip(ids.tail)
 
@@ -43,10 +45,10 @@ object Graphs {
     G("grid3x4", (for { y <- 0L until 3L; x <- 0L until 3L } yield (y * 4 + x, y * 4 + x + 1)) ++
       (for { y <- 0L until 2L; x <- 0L until 4L } yield (y * 4 + x, y * 4 + x + 4))),
     G("huge-ids", Seq((1L << 62, (1L << 62) + 1), ((1L << 62) + 1, (1L << 62) + 2),
-      (42L, 43L)), smallIds = false),
-    G("negative-ids", Seq((-5L, -4L), (-4L, 3L), (-100L, -100L)), smallIds = false),
+      (42L, 43L))),
+    G("negative-ids", Seq((-5L, -4L), (-4L, 3L), (-100L, -100L))),
     // Isolated 0 and p = 2^31-1: the two IDs GF(p)'s map sends to the same value.
-    G("ids-0-and-2^31-1", Seq((0L, 0L), (Int.MaxValue.toLong, Int.MaxValue.toLong)), smallIds = false),
+    G("ids-0-and-2^31-1", Seq((0L, 0L), (Int.MaxValue.toLong, Int.MaxValue.toLong))),
   )
 
   /** A G(n, p) random graph with loop edges added for isolated vertices. */
