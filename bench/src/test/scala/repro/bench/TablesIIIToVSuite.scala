@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.datasets.DatasetCatalog
 import repro.harness.{BenchHarness, TableFormat}
 
 /** Tables III, IV and V — one sweep of {RC, HM, TP, CR} over all twelve

@@ -63,9 +63,8 @@ case object Cracker extends CcAlgorithm {
       // minimum (bidirectional for the next Min-Selection).
       val nextDirected = hm.df.join(am.df, "node").where(col("vmin") =!= col("vmin2"))
         .select(col("vmin").as("v"), col("vmin2").as("w"))
-      val ng = tracker.materialize(s"G$round", GraphOps.undirect(nextDirected).distinct())
+      val ng = tracker.endRound(s"G$round", GraphOps.undirect(nextDirected).distinct())
       tracker.drop(hm); tracker.drop(am); tracker.drop(g)
-      tracker.recordRound(ng.rows)
       g = ng
       g.rows > 0L
     }

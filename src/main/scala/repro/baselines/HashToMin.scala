@@ -34,8 +34,7 @@ case object HashToMin extends CcAlgorithm {
       val cm = c.df.join(m, "v") // (v, u, m)
       val toMin = cm.select(col("m").as("v"), col("u"))
       val minTo = cm.select(col("u").as("v"), col("m").as("u"))
-      val nc    = tracker.materialize(s"C$round", toMin.union(minTo).distinct())
-      tracker.recordRound(nc.rows)
+      val nc    = tracker.endRound(s"C$round", toMin.union(minTo).distinct())
       val fixpoint = nc.sameRows(c)
       tracker.drop(c)
       c = nc

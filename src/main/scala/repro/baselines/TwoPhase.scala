@@ -47,11 +47,9 @@ case object TwoPhase extends CcAlgorithm {
     // One step is two rounds, a large-star and a small-star; its tables are
     // numbered by the round it starts at.
     Rounds(name)(e.rows != 0L) { step =>
-      val ls = tracker.materialize(s"L${2 * step - 2}", largeStar(e.df))
-      tracker.recordRound(ls.rows)
-      val ss = tracker.materialize(s"S${2 * step - 2}", smallStar(ls.df))
+      val ls = tracker.endRound(s"L${2 * step - 2}", largeStar(e.df))
+      val ss = tracker.endRound(s"S${2 * step - 2}", smallStar(ls.df))
       tracker.drop(ls)
-      tracker.recordRound(ss.rows)
       val unchanged = ss.sameRows(e)
       tracker.drop(e)
       e = ss

@@ -32,7 +32,8 @@ object BitcoinSynth {
   final case class Chain(transactions: DataFrame, outputs: DataFrame, inputs: DataFrame)
 
   /** Generate a chain with `nTx` transactions over `nAddr` base addresses. */
-  def chain(spark: SparkSession, nTx: Long, nAddr: Long, seed: Long = 0xB17C01L): Chain = {
+  def chain(spark: SparkSession, nTx: Long, nAddr: Long): Chain = {
+    val seed = 0xB17C01L // fixed: a chain is determined by its size
     // Note: `/` on long columns is floating-point division in Spark SQL —
     // use floor+cast for the integer id arithmetic throughout.
     val txs = GraphOps.range(spark, nTx).select(col("id").as("tx_id"),

@@ -25,8 +25,8 @@ trait CcAlgorithm {
   /** Compute connected components of an undirected edge table (v, w).
     *
     * Loop edges mark isolated vertices; duplicates and both orientations are
-    * tolerated. Must label every vertex ID occurring in `edges`, and record
-    * each round's row count with `tracker.recordRound`.
+    * tolerated. Must label every vertex ID occurring in `edges`, and write
+    * each round's table with `tracker.endRound`.
     *
     * @param tracker space accounting; throws [[repro.graph.BlowUpException]]
     *                if the configured cap is exceeded (harness renders "—").

@@ -28,8 +28,9 @@ object Variant {
   * O(log |V|) rounds for any input (Theorem 1: shrink factor γ ≤ 3/4).
   *
   * Each `CREATE TABLE` of the script is a [[SpaceTracker.materialize]]d
-  * query, so Tables IV/V space metrics can be reproduced, and the script
-  * names a table by its [[SpaceTracker.view]]; each `DROP TABLE` drops both.
+  * query, E_i's through [[SpaceTracker.endRound]] as it ends the round, so
+  * Tables I, IV and V can be reproduced, and the script names a table by its
+  * [[SpaceTracker.view]]; each `DROP TABLE` drops both.
   */
 final case class RandomisedContraction(method: Randomisation = FiniteField64,
                                        variant: Variant = Variant.Fast) extends CcAlgorithm {
@@ -113,12 +114,11 @@ final case class RandomisedContraction(method: Randomisation = FiniteField64,
     val stack = mutable.Stack.empty[(Table, AffineRoundHash)] // Fig. 4: R_i with h_i
     Rounds(name)(e.rows != 0L) { round =>
       val (r, h) = representatives(e, round)
-      val next = create(s"E$round",
+      val next = tracker.endRound(s"E$round", spark.sql(
         s"""select distinct r1.r as v, r2.r as w
            |from ${t(e)} g join ${t(r)} r1 on g.v = r1.v join ${t(r)} r2 on g.w = r2.v
-           |where r1.r != r2.r""".stripMargin)
+           |where r1.r != r2.r""".stripMargin))
       tracker.drop(e)
-      tracker.recordRound(next.rows)
       e = next
       variant match {
         // L := R_1 (rename, no rewrite), then L_i := L ⟕ R_i.

@@ -70,7 +70,7 @@ object Generators {
                      (col("w") + dstBit * (1L << level)).as("w"))
     }
     val dedup = df.where(col("v") =!= col("w")).distinct()
-    ImageGraph.randomizeIds(dedup, Seq("v", "w"), seed + 1000)
+    ImageGraph.randomizeIds(dedup, seed + 1000)
   }
 
   /** Friendster analogue: a social-flavoured R-MAT (milder skew, larger
@@ -87,6 +87,6 @@ object Generators {
     val (keep, seed) = (0.55, 0x17A1FL)
     val h = ImageGraph.axis(spark, width, height, frames = 1, (1, 0, 0)).where(rand(seed) < keep)
     val v = ImageGraph.axis(spark, width, height, frames = 1, (0, 1, 0)).where(rand(seed + 1) < keep)
-    ImageGraph.randomizeIds(h.union(v).select("v", "w"), Seq("v", "w"), seed + 2)
+    ImageGraph.randomizeIds(h.union(v).select("v", "w"), seed + 2)
   }
 }

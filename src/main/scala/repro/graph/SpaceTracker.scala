@@ -1,7 +1,7 @@
 package repro.graph
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row}
 import scala.collection.mutable
 
 /** Thrown when an algorithm's live intermediate state exceeds the harness cap
@@ -17,33 +17,34 @@ final case class Table(name: String, df: DataFrame, rows: Long) {
   def sameRows(prev: Table): Boolean = rows == prev.rows && df.except(prev.df).isEmpty
 }
 
-/** Accounting for the paper's space metrics (Tables IV and V), and the one
-  * place an algorithm's tables are written and freed.
+/** A live table: the handle its write returned, its storage, and its view's name once it has one. */
+private[graph] final case class Live(table: Table, rdd: RDD[Row], view: Option[String])
+
+/** A successful write: the table's rows, the live rows after it, and whether the table ends a round. */
+private[graph] final case class Write(rows: Long, liveRows: Long, endsRound: Boolean)
+
+/** The one place an algorithm's tables are written and freed, and the one record of its writes.
   *
-  * Every intermediate an algorithm materialises corresponds to a
-  * `CREATE TABLE` in the paper's SQL scripts; [[materialize]] plays that role
-  * here (localCheckpoint = write the table, count = its row count) and
-  * [[drop]] plays `DROP TABLE`, freeing the table's storage. From these
-  * events we track:
+  * [[materialize]] plays the `CREATE TABLE` of the paper's SQL scripts
+  * (localCheckpoint = write the table, count = its row count), [[endRound]]
+  * plays it for the table that ends a round, and [[drop]] plays `DROP TABLE`,
+  * freeing the table's storage. The paper's figures are reads of the record:
   *
   *   - maximum live rows at any instant → Table IV "maximum space used";
   *   - total rows ever written          → Table V "total gigabytes written"
-  *     (what a transaction would have to retain).
+  *     (what a transaction would have to retain);
+  *   - each round's table rows          → Table I's rounds and shrink γ.
   *
   * So Spark holds the blocks of the live tables only, as a database holds
   * the tables not yet dropped. [[view]] gives a live table its name in SQL,
-  * and [[drop]] ends both. [[dropAll]] frees them all: the tracker's owner
-  * calls it once done with the tables, and a failed [[materialize]] calls
-  * it, so a failed run leaves nothing cached and no view registered.
+  * and [[drop]] ends both; each takes only the handle the write returned.
+  * [[dropAll]] frees them all: the tracker's owner calls it once done with
+  * the tables, and a failed write calls it, so a failed run leaves nothing
+  * cached and no view registered.
   */
 final class SpaceTracker(val capRows: Long = Long.MaxValue, val algoName: String = "") {
-  /** A live table: its storage, its rows, and its view with the view's session once it has one. */
-  private final case class Live(rdd: RDD[Row], rows: Long, view: Option[(String, SparkSession)])
-
-  private val live         = mutable.LinkedHashMap.empty[String, Live]
-  private var maxLive      = 0L
-  private var written      = 0L
-  private val roundRowsBuf = mutable.ArrayBuffer.empty[Long]
+  private val live   = mutable.LinkedHashMap.empty[String, Live]
+  private val writes = mutable.ArrayBuffer.empty[Write]
 
   /** Materialise a DataFrame (truncating lineage) as the live table `name`.
     *
@@ -67,20 +68,23 @@ final class SpaceTracker(val capRows: Long = Long.MaxValue, val algoName: String
     * A write that fails frees every live table, its own partial checkpoint
     * included, and rethrows: its query throws, in the shuffle stages that
     * AQE runs when the rows are taken or in the count, or the live rows
-    * pass the cap ([[BlowUpException]]).
+    * pass the cap ([[BlowUpException]]); only a write past the cap is recorded.
     */
-  def materialize(name: String, df: DataFrame): Table = {
+  def materialize(name: String, df: DataFrame): Table = write(name, df, endsRound = false)
+
+  /** [[materialize]] the table that ends a round: its rows are the round's entry in [[roundEdgeRows]]. */
+  def endRound(name: String, df: DataFrame): Table = write(name, df, endsRound = true)
+
+  private def write(name: String, df: DataFrame, endsRound: Boolean): Table = {
     require(!live.contains(name), s"$algoName: table $name is already live")
     try {
-      val rdd = df.toDF().rdd.localCheckpoint() // under AQE this already runs the shuffle stages
-      live(name) = Live(rdd, 0L, None)          // in the ledger while it is filled
-      val rows = rdd.count()
-      live(name) = Live(rdd, rows, None)
-      written += rows
-      val total = liveRows
-      if (total > maxLive) maxLive = total
-      if (total > capRows) throw BlowUpException(algoName, total, capRows)
-      Table(name, df.sparkSession.createDataFrame(rdd, df.schema), rows)
+      val rdd   = df.toDF().rdd.localCheckpoint() // under AQE this already runs the shuffle stages
+      val rows  = try rdd.count() catch { case e: Throwable => rdd.unpersist(blocking = true); throw e }
+      val table = Table(name, df.sparkSession.createDataFrame(rdd, df.schema), rows)
+      live(name) = Live(table, rdd, None)
+      writes += Write(rows, liveRows, endsRound)
+      if (liveRows > capRows) throw BlowUpException(algoName, liveRows, capRows)
+      table
     } catch { case e: Throwable => dropAll(); throw e }
   }
 
@@ -90,13 +94,11 @@ final class SpaceTracker(val capRows: Long = Long.MaxValue, val algoName: String
     */
   def view(table: Table): String = {
     val entry = liveEntry(table)
-    entry.view match {
-      case Some((name, _)) => name
-      case None =>
-        val name = s"t${entry.rdd.id}_${table.name}"
-        table.df.createOrReplaceTempView(name)
-        live(table.name) = entry.copy(view = Some(name -> table.df.sparkSession))
-        name
+    entry.view.getOrElse {
+      val name = s"t${entry.rdd.id}_${table.name}"
+      table.df.createOrReplaceTempView(name)
+      live(table.name) = entry.copy(view = Some(name))
+      name
     }
   }
 
@@ -108,25 +110,24 @@ final class SpaceTracker(val capRows: Long = Long.MaxValue, val algoName: String
     live.remove(table.name)
   }
 
-  /** `DROP TABLE` of every live table. The space metrics are kept. */
+  /** `DROP TABLE` of every live table. The space figures are kept. */
   def dropAll(): Unit = {
     live.valuesIterator.foreach(free)
     live.clear()
   }
 
   private def liveEntry(table: Table): Live =
-    live.getOrElse(table.name, throw new IllegalArgumentException(s"$algoName: table ${table.name} is not live"))
+    live.get(table.name).filter(_.table eq table)
+      .getOrElse(throw new IllegalArgumentException(s"$algoName: table ${table.name} is not live"))
 
   private def free(entry: Live): Unit = {
-    entry.view.foreach { case (name, session) => session.catalog.dropTempView(name) }
+    entry.view.foreach(entry.table.df.sparkSession.catalog.dropTempView)
     entry.rdd.unpersist(blocking = true)
   }
 
-  /** Record a round by the rows of the table it leaves (RC: E, whose shrink is γ); one entry per round. */
-  def recordRound(edgeRows: Long): Unit = roundRowsBuf += edgeRows
-
-  def maxLiveRows: Long        = maxLive
-  def totalWrittenRows: Long   = written
-  def liveRows: Long           = live.valuesIterator.map(_.rows).sum
-  def roundEdgeRows: Seq[Long] = roundRowsBuf.toSeq
+  def maxLiveRows: Long      = writes.iterator.map(_.liveRows).maxOption.getOrElse(0L)
+  def totalWrittenRows: Long = writes.iterator.map(_.rows).sum
+  def liveRows: Long         = live.valuesIterator.map(_.table.rows).sum
+  /** The rows of each round's table (RC: E, whose shrink is γ); a write past the cap ends no round. */
+  def roundEdgeRows: Seq[Long] = writes.iterator.filter(w => w.endsRound && w.liveRows <= capRows).map(_.rows).toSeq
 }

@@ -60,11 +60,11 @@ object ImageGraph {
     floor(lerp(c0, c1, ft)).cast("long")
   }
 
-  /** Fixed GF(2^64) bijection used to scramble pixel IDs: one RC round drawn from `seed`. */
-  def randomizeIds(df: DataFrame, cols: Seq[String], seed: Long): DataFrame = {
-    GfFunctions.ensureRegistered(df.sparkSession)
+  /** Fixed GF(2^64) bijection scrambling both endpoints of `edges`: one RC round drawn from `seed`. */
+  def randomizeIds(edges: DataFrame, seed: Long): DataFrame = {
+    GfFunctions.ensureRegistered(edges.sparkSession)
     val round = FiniteField64.nextRound(new scala.util.Random(seed))
-    cols.foldLeft(df)((d, c) => d.withColumn(c, expr(round.hash(s"cast($c as bigint)"))))
+    Seq("v", "w").foldLeft(edges)((d, c) => d.withColumn(c, expr(round.hash(s"cast($c as bigint)"))))
   }
 
   /** Candidate edges p–(p + d) of a `width × height × frames` lattice along
@@ -108,6 +108,6 @@ object ImageGraph {
         .where(abs(intensity(x, y, t, seed) - intensity(x + dx, y + dy, t + dt, seed)) <= threshold)
         .select("v", "w")
     }
-    randomizeIds(kept.reduce(_ union _), Seq("v", "w"), seed + 1)
+    randomizeIds(kept.reduce(_ union _), seed + 1)
   }
 }

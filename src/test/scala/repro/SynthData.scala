@@ -4,7 +4,8 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
-/** A synthetic TPC-H-like orders table at a configurable scale factor.
+/** A synthetic TPC-H-like orders table (`o_orderkey`, `o_custkey`) at a
+  * configurable scale factor.
   *
   * SF=1.0 has TPC-H SF1's 1.5 M orders over 150 k customers. Tests use
   * SF<=0.01. The generator is deterministic in (sf, seed) so the DuckDB
@@ -21,12 +22,7 @@ object SynthData {
     val nCust = n(NCustomerPerSf, sf)
     spark.range(1, n(NOrdersPerSf, sf) + 1).toDF("o_orderkey").select(
       $"o_orderkey",
-      (rand(seed)     * nCust + 1).cast(LongType)             as "o_custkey",
-      element_at(array(lit("O"), lit("F"), lit("P")),
-                 (rand(seed + 1) * 3 + 1).cast("int"))         as "o_orderstatus",
-      round(rand(seed + 2) * 500000 + 1000, 2)                 as "o_totalprice",
-      date_add(lit("1992-01-01").cast(DateType),
-               (rand(seed + 3) * 2406).cast("int"))            as "o_orderdate",
+      (rand(seed) * nCust + 1).cast(LongType) as "o_custkey",
     )
   }
 }

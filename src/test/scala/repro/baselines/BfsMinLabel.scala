@@ -27,8 +27,7 @@ case object BfsMinLabel extends CcAlgorithm {
       val improved = l.df.join(nbrMin, Seq("v"), "left_outer")
         .select(col("v"), least(col("r"), coalesce(col("nr"), col("r"))).as("r"),
                 (col("nr").isNotNull && col("nr") < col("r")).cast("int").as("changed"))
-      val nl      = tracker.materialize(s"L$round", improved)
-      tracker.recordRound(nl.rows)
+      val nl      = tracker.endRound(s"L$round", improved)
       val changed = nl.df.agg(sum(col("changed"))).head().getLong(0)
       tracker.drop(l)
       l = nl

@@ -30,9 +30,8 @@ case object GraphSquaring extends CcAlgorithm {
     val verts = GraphOps.vertices(raw)
     var e     = tracker.materialize("E0", GraphOps.canonical(raw))
     Rounds(name, 100)(e.rows != 0L) { round =>
-      val ne = tracker.materialize(s"E$round", square(e.df))
+      val ne = tracker.endRound(s"E$round", square(e.df))
       tracker.drop(e)
-      tracker.recordRound(ne.rows)
       // The edge set only grows under ∪ G²; equal counts ⇒ fixpoint.
       val grew = ne.rows != e.rows
       e = ne

@@ -13,8 +13,9 @@ import repro.datasets.Generators
 
 class SpaceTrackerSpec extends SparkSpec {
 
-  private def table(t: SpaceTracker, name: String, rows: Long): Table =
-    t.materialize(name, spark.range(rows).selectExpr("id as v", "id as w"))
+  private def edges(rows: Long) = spark.range(rows).selectExpr("id as v", "id as w")
+  private def table(t: SpaceTracker, name: String, rows: Long): Table = t.materialize(name, edges(rows))
+  private def round(t: SpaceTracker, name: String, rows: Long): Table = t.endRound(name, edges(rows))
 
   private def views(): Set[String] = spark.catalog.listTables().collect().map(_.name).toSet
 
@@ -165,9 +166,37 @@ class SpaceTrackerSpec extends SparkSpec {
     assert(cachedRdds() -- before == Set.empty)
   }
 
-  test("recordRound accumulates the shrink telemetry") {
+  test("endRound records each round's table rows") {
     val t = new SpaceTracker
-    t.recordRound(10L); t.recordRound(4L); t.recordRound(0L)
+    table(t, "a", 5L)
+    val e1 = round(t, "E1", 10L)
+    t.drop(e1)
+    round(t, "E2", 4L)
+    round(t, "E3", 0L)
     assert(t.roundEdgeRows == Seq(10L, 4L, 0L))
+    assert(t.totalWrittenRows == 19L)
+    assert(t.maxLiveRows == 15L)
+  }
+
+  test("a round table whose write passes the cap counts in written and max-live rows but is not a round") {
+    val t = new SpaceTracker(capRows = 100L, algoName = "X")
+    round(t, "E1", 60L)
+    intercept[BlowUpException](round(t, "E2", 60L))
+    assert(t.roundEdgeRows == Seq(60L))
+    assert(t.totalWrittenRows == 120L)
+    assert(t.maxLiveRows == 120L)
+  }
+
+  test("a dropped table's handle neither names nor frees a later table of the same name") {
+    val t  = new SpaceTracker
+    val a1 = table(t, "a", 3L)
+    t.drop(a1)
+    val a2 = table(t, "a", 5L)
+    assertThrows[IllegalArgumentException](t.drop(a1))
+    assertThrows[IllegalArgumentException](t.view(a1))
+    assert(t.liveRows == 5L)
+    assert(a2.df.count() == 5L)
+    assert(spark.sql(s"select count(*) from ${t.view(a2)}").head().getLong(0) == 5L)
+    t.dropAll()
   }
 }

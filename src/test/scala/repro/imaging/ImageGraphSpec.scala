@@ -1,8 +1,7 @@
 package repro.imaging
 
-import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.graph.{GraphOps, LocalUnionFind}
+import repro.graph.LocalUnionFind
 
 class ImageGraphSpec extends SparkSpec {
 
@@ -77,7 +76,7 @@ class ImageGraphSpec extends SparkSpec {
   test("randomizeIds applies the same bijection to both columns") {
     import spark.implicits._
     val df  = Seq((1L, 2L), (2L, 3L)).toDF("v", "w")
-    val out = ImageGraph.randomizeIds(df, Seq("v", "w"), seed = 9L)
+    val out = ImageGraph.randomizeIds(df, seed = 9L)
       .collect().map(r => (r.getLong(0), r.getLong(1)))
     // shared endpoint stays shared, mapped consistently
     assert(out(0)._2 == out(1)._1)
