@@ -2,16 +2,63 @@ package repro.bench
 
 import repro.harness.{BenchHarness, TableFormat}
 
-/** Tables III, IV and V — one sweep of {RC, HM, TP, CR} over all twelve
-  * datasets produces all three tables (runtime, max space, total written),
-  * exactly as one database run did in the paper.
+/** Tables II, III, IV and V — one sweep of {RC, HM, TP, CR} over all twelve
+  * datasets produces all four tables (dataset statistics, runtime, max space,
+  * total written), exactly as one database run did in the paper. Each dataset
+  * is prepared once, and its edge table freed before the next is prepared.
   */
-class TablesIIIToVSuite extends BenchBase {
+class TablesIIToVSuite extends BenchBase {
+
+  private lazy val sweep = BenchHarness.sweep(spark)
+
+  /** Table II's statistics, plus the Fig. 5 component-size distribution
+    * check (log-log linear shape) for the Bitcoin-addresses and Andromeda
+    * analogues. The statistics are driver-side: the sweep has freed the
+    * edge tables.
+    */
+  test("Table II: dataset statistics") {
+    val rows  = sweep.map { case (d, s, _) => d -> s }
+    val table = TableFormat.tableII(rows)
+    println("\n=== Table II (datasets; ours at bench scale vs paper) ===")
+    println(table)
+    TableFormat.save("table2_datasets.txt", table)
+
+    val byName = rows.map { case (d, s) => d.name -> s }.toMap
+    // Structural invariants mirroring the paper's Table II:
+    assert(byName("Path100M").components == 1L)
+    assert(byName("PathUnion10").components == 10L)
+    assert(byName("Friendster").componentSizes.values.max.toDouble /
+      byName("Friendster").vertices > 0.5, "Friendster analogue should have a giant component")
+    assert(byName("Candels20").vertices.toDouble / byName("Candels10").vertices > 1.6,
+      "Candels series must roughly double")
+    assert(rows.forall(_._2.rows > 0))
+
+    // Fig. 5: component sizes roughly scale-free for Bitcoin addresses and
+    // Andromeda — many more small components than large ones, with a heavy
+    // tail. Print the log-log histogram and check monotone-decreasing shape
+    // over the first decades.
+    for (name <- Seq("Bitcoin addresses", "Andromeda")) {
+      val sizes = byName(name).componentSizes.values.toSeq
+      val hist  = sizes.groupBy(s => math.min(20, (math.log(s.toDouble) / math.log(2)).toInt))
+        .view.mapValues(_.size).toSeq.sortBy(_._1)
+      println(s"\nFig. 5 check — $name component-size histogram (log2 buckets):")
+      hist.foreach { case (b, n) => println(f"  2^$b%-2d ≤ size < 2^${b + 1}%-2d : $n") }
+      val counts = hist.map(_._2.toDouble)
+      // Heavy tail: the frequency peak sits in the smallest two buckets and
+      // small components vastly outnumber large ones.
+      assert(counts.take(2).max == counts.max,
+        s"$name: component frequency must peak at small sizes")
+      val (small, large) = hist.partition(_._1 <= 2)
+      assert(small.map(_._2).sum > 4 * large.map(_._2).sum,
+        s"$name: small components must dominate")
+      assert(hist.size >= 3, s"$name: needs a size spread of at least 3 decades")
+    }
+  }
 
   test("Tables III–V: runtimes, max space, total written") {
     val algos   = BenchHarness.tableAlgos
     val names   = algos.map(_.name)
-    val results = BenchHarness.sweep(spark)
+    val results = sweep.flatMap(_._3)
 
     val t3 = TableFormat.tableIII(results, names)
     val t4 = TableFormat.spaceTable(results, names, _.maxMb)

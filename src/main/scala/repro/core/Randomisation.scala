@@ -110,8 +110,4 @@ case object Encryption extends HashMethod {
   */
 case object RandomReals extends Randomisation {
   val name = "randreal"
-  /** Seed of the round's random table: the second of two draws per round.
-    * Any other draw order would change the labels every run seed gives.
-    */
-  def nextSeed(rng: Random): Long = { rng.nextLong(); rng.nextLong() }
 }

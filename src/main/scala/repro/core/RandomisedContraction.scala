@@ -71,7 +71,7 @@ final case class RandomisedContraction(method: Randomisation = FiniteField64,
         r -> h
       case RandomReals =>
         val hTab = create(s"H$round",
-          s"select v, rand(${RandomReals.nextSeed(rng)}L) as h from (select distinct v from ${t(e)})")
+          s"select v, rand(${rng.nextLong()}L) as h from (select distinct v from ${t(e)})")
         val r = create(s"R$round",
           s"""select v, min_by(w, h) as r from (
              |  select g.v, g.w, hw.h from ${t(e)} g join ${t(hTab)} hw on g.w = hw.v

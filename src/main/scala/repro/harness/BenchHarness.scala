@@ -24,7 +24,7 @@ final case class BenchResult(
 }
 
 /** Sweeps algorithms × datasets and validates every labelling against
-  * driver-side union-find, producing the rows of Tables III, IV and V.
+  * driver-side union-find, producing the rows of Tables II, III, IV and V.
   */
 object BenchHarness {
 
@@ -90,13 +90,19 @@ object BenchHarness {
       tracker.maxLiveRows, tracker.totalWrittenRows, tracker.roundEdgeRows, status)
   }
 
-  /** Run the full Tables III–V sweep. */
+  /** Run the full Tables II–V sweep: each dataset is prepared once, its
+    * cells run, and its edge table freed before the next is prepared. Each
+    * entry holds the dataset, its statistics (Table II) and its cells
+    * (Tables III–V). The statistics are read after the sweep, so only their
+    * driver-side figures hold: `rows` and the union-find, hence |V|, the
+    * component count and the component sizes. Their edge table is freed.
+    */
   def sweep(spark: SparkSession,
             datasets: Seq[BenchDataset] = DatasetCatalog.all,
-            algos: Seq[CcAlgorithm] = tableAlgos): Seq[BenchResult] =
-    datasets.flatMap { d =>
+            algos: Seq[CcAlgorithm] = tableAlgos): Seq[(BenchDataset, DatasetStats, Seq[BenchResult])] =
+    datasets.map { d =>
       val stats = prepare(spark, d.build)
-      try algos.map(a => runOne(stats, d.name, a))
+      try (d, stats, algos.map(a => runOne(stats, d.name, a)))
       finally stats.tracker.dropAll()
     }
 

@@ -21,7 +21,7 @@ object TableFormat {
   def save(fileName: String, content: String): Unit = {
     val dir = resultsDir
     Files.createDirectories(dir)
-    Files.write(dir.resolve(fileName), content.getBytes("UTF-8"),
+    Files.write(dir.resolve(fileName), (content + "\n").getBytes("UTF-8"),
       StandardOpenOption.CREATE, StandardOpenOption.TRUNCATE_EXISTING)
   }
 

@@ -10,9 +10,11 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * limit). Broadcast joins are disabled: the paper's database joins
+  * hash-distributed tables by redistributing them on the join key, and at
+  * test and bench scale most tables are under Spark's broadcast threshold,
+  * so every join here runs as a shuffle join, as it would at the paper's
+  * scale.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -25,6 +27,9 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
   /** The RDDs whose blocks Spark holds: the live tables of every tracker. */
   protected def cachedRdds(): Set[Int] = spark.sparkContext.getRDDStorageInfo.map(_.id).toSet
+
+  /** The session's temp views: the SQL names of the live tables. */
+  protected def views(): Set[String] = spark.catalog.listTables().collect().map(_.name).toSet
 
   override def beforeAll(): Unit = {
     super.beforeAll()

@@ -72,8 +72,7 @@ class BitcoinSpec extends SparkSpec {
     val ins  = Seq((100L, 0L), (100L, 2L), (200L, 4L)).toDF("tx_id", "out_id")
     val g    = BitcoinSynth.addressGraph(BitcoinSynth.Chain(txs, outs, ins))
     val run  = RandomisedContraction().run(g, seed = 3L)
-    val norm = GraphOps.normalizeLabels(run.labels).collect()
-      .map(r => r.getLong(0) -> r.getLong(1)).toMap
+    val norm = Graphs.pairs(GraphOps.normalizeLabels(run.labels)).toMap
     val off = BitcoinSynth.AddrOffset
     assert(norm(off + 1L) == norm(off + 2L), "addresses 1 and 2 must cluster")
     assert(norm(off + 1L) != norm(off + 3L), "address 3 must stay separate")
@@ -81,7 +80,7 @@ class BitcoinSpec extends SparkSpec {
 
   test("fullGraph links outputs to creating and spending txs") {
     val g     = BitcoinSynth.fullGraph(chain)
-    val edges = g.collect().map(r => (r.getLong(0), r.getLong(1)))
+    val edges = Graphs.pairs(g)
     val nOuts = chain.outputs.count()
     val nIns  = chain.inputs.count()
     assert(edges.length == nOuts + nIns) // distinct keys by construction
@@ -89,7 +88,7 @@ class BitcoinSpec extends SparkSpec {
 
   test("addressGraph components are scale-free-ish (Fig. 5 shape)") {
     val g  = BitcoinSynth.addressGraph(BitcoinSynth.chain(spark, nTx = 8000, nAddr = 2000))
-    val uf = LocalUnionFind.fromEdges(g.collect().map(r => (r.getLong(0), r.getLong(1))))
+    val uf = LocalUnionFind.fromEdges(Graphs.pairs(g))
     val sizes = uf.componentSizes.values.toSeq
     assert(sizes.count(_ == sizes.min) > sizes.count(_ > sizes.min * 4),
       "small components must vastly outnumber large ones")
@@ -98,7 +97,7 @@ class BitcoinSpec extends SparkSpec {
 
   test("RC labels the address graph identically to union-find") {
     val g     = BitcoinSynth.addressGraph(chain).localCheckpoint(true)
-    val edges = g.collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
+    val edges = Graphs.pairs(g)
     val run   = RandomisedContraction().run(g, seed = 11L)
     Graphs.assertPartition(run.labels, edges)
   }

@@ -139,7 +139,7 @@ class RandomisedContractionSpec extends SparkSpec {
   }
 
   private def labelMap(run: CcRun): Map[Long, Long] =
-    run.labels.collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+    Graphs.pairs(run.labels).toMap
 
   test("runs are deterministic given the seed") {
     val edges = Graphs.randomGnp(40, 0.08, 9)
@@ -186,7 +186,7 @@ class RandomisedContractionSpec extends SparkSpec {
   test("sequentially numbered path contracts in O(log n) rounds, not n (§V-B)") {
     import spark.implicits._
     val n     = 512L
-    val edges = (0L until n - 1).map(i => (i, i + 1))
+    val edges = Graphs.pathEdges(0L until n)
     val run   = RandomisedContraction().run(edges.toDF("v", "w"), seed = 8L)
     Graphs.assertPartition(run.labels, edges)
     // BFS/deterministic contraction would need n-1 = 511 rounds; randomised
@@ -195,7 +195,6 @@ class RandomisedContractionSpec extends SparkSpec {
   }
 
   test("every temp view of a run is dropped: normal, empty and blown-up runs") {
-    def views() = spark.catalog.listTables().collect().map(_.name).toSet
     val edges = Graphs.randomGnp(40, 0.08, 12)
     for (variant <- Seq(Variant.Fast, Variant.Deterministic)) {
       val before = views()

@@ -4,14 +4,12 @@ import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.bitcoin.BitcoinSynth
 import repro.graph.{GraphOps, LocalUnionFind}
+import repro.testutil.Graphs
 
 class GeneratorsSpec extends SparkSpec {
 
-  private def collectEdges(df: DataFrame): Seq[(Long, Long)] =
-    df.collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
-
   test("path(n) has n-1 sequential edges and one component") {
-    val e = collectEdges(Generators.path(spark, 100))
+    val e = Graphs.pairs(Generators.path(spark, 100))
     assert(e.size == 99)
     assert(e == (0L until 99L).map(i => (i, i + 1)))
     assert(LocalUnionFind.fromEdges(e).componentCount == 1)
@@ -22,7 +20,7 @@ class GeneratorsSpec extends SparkSpec {
   }
 
   test("pathUnion(k) has exactly k components with doubling lengths") {
-    val e  = collectEdges(Generators.pathUnion(spark, k = 4, baseLen = 4))
+    val e  = Graphs.pairs(Generators.pathUnion(spark, k = 4, baseLen = 4))
     val uf = LocalUnionFind.fromEdges(e)
     assert(uf.componentCount == 4)
     assert(uf.componentSizes.values.toSeq.sorted == Seq(4L, 8L, 16L, 32L))
@@ -31,22 +29,22 @@ class GeneratorsSpec extends SparkSpec {
   }
 
   test("rmat is deterministic in the seed") {
-    val a = collectEdges(Generators.rmat(spark, scale = 8, nEdges = 500, seed = 42))
-    val b = collectEdges(Generators.rmat(spark, scale = 8, nEdges = 500, seed = 42))
+    val a = Graphs.pairs(Generators.rmat(spark, scale = 8, nEdges = 500, seed = 42))
+    val b = Graphs.pairs(Generators.rmat(spark, scale = 8, nEdges = 500, seed = 42))
     assert(a.sorted == b.sorted)
-    val c = collectEdges(Generators.rmat(spark, scale = 8, nEdges = 500, seed = 43))
+    val c = Graphs.pairs(Generators.rmat(spark, scale = 8, nEdges = 500, seed = 43))
     assert(a.sorted != c.sorted)
   }
 
   test("rmat produces no loops and at most nEdges edges") {
-    val e = collectEdges(Generators.rmat(spark, scale = 10, nEdges = 2000))
+    val e = Graphs.pairs(Generators.rmat(spark, scale = 10, nEdges = 2000))
     assert(e.size <= 2000)
     assert(e.size > 1000) // duplicates exist but must not dominate at this density
     assert(e.forall { case (v, w) => v != w })
   }
 
   test("rmat skew: top-degree vertex well above the mean (power-law-ish)") {
-    val e   = collectEdges(Generators.rmat(spark, scale = 10, nEdges = 4000))
+    val e   = Graphs.pairs(Generators.rmat(spark, scale = 10, nEdges = 4000))
     val deg = e.flatMap { case (v, w) => Seq(v, w) }.groupBy(identity).map(_._2.size)
     val mean = deg.sum.toDouble / deg.size
     assert(deg.max > mean * 5, s"max degree ${deg.max} vs mean $mean — not skewed")
@@ -59,7 +57,7 @@ class GeneratorsSpec extends SparkSpec {
 
   test("streets is low-degree (max 4) with |E| ≈ |V|") {
     val df  = Generators.streets(spark, 40, 30)
-    val e   = collectEdges(df)
+    val e   = Graphs.pairs(df)
     val deg = e.flatMap { case (v, w) => Seq(v, w) }.groupBy(identity).map(_._2.size)
     assert(deg.max <= 4)
     val nV = e.flatMap { case (v, w) => Seq(v, w) }.distinct.size
@@ -67,8 +65,8 @@ class GeneratorsSpec extends SparkSpec {
   }
 
   test("streets is deterministic") {
-    val a = collectEdges(Generators.streets(spark, 20, 20))
-    val b = collectEdges(Generators.streets(spark, 20, 20))
+    val a = Graphs.pairs(Generators.streets(spark, 20, 20))
+    val b = Graphs.pairs(Generators.streets(spark, 20, 20))
     assert(a.sorted == b.sorted)
   }
 
@@ -77,12 +75,12 @@ class GeneratorsSpec extends SparkSpec {
       "streets" -> (() => Generators.streets(spark, 80, 45)),
       "rmat"    -> (() => Generators.rmat(spark, scale = 8, nEdges = 2000)),
       "bitcoin" -> (() => BitcoinSynth.addressGraph(BitcoinSynth.chain(spark, nTx = 2000, nAddr = 500))))
-    val unset = graphs.map { case (_, g) => collectEdges(g()).sorted }
+    val unset = graphs.map { case (_, g) => Graphs.pairs(g()).sorted }
     val key   = "spark.sql.leafNodeDefaultParallelism"
     try {
       for (parallelism <- Seq(2L, 6L); ((name, g), want) <- graphs.zip(unset)) {
         spark.conf.set(key, parallelism)
-        val got  = collectEdges(g()).sorted
+        val got  = Graphs.pairs(g()).sorted
         val same = got == want // not in the assert: the message would print both edge lists
         assert(same, s"$name: ${got.size} rows at parallelism $parallelism, ${want.size} unset")
       }
@@ -90,7 +88,7 @@ class GeneratorsSpec extends SparkSpec {
   }
 
   test("social graph has a giant component (Friendster analogue)") {
-    val e  = collectEdges(Generators.social(spark, scale = 10, nEdges = 4000))
+    val e  = Graphs.pairs(Generators.social(spark, scale = 10, nEdges = 4000))
     val uf = LocalUnionFind.fromEdges(e)
     val maxComp = uf.componentSizes.values.max
     assert(maxComp.toDouble / uf.verticesSeen.size > 0.5, "no giant component")

@@ -22,7 +22,7 @@ class GraphOpsSpec extends SparkSpec {
 
   test("undirect doubles every row (paper's setup query)") {
     val e = df(Seq((1L, 2L), (3L, 3L)))
-    val u = GraphOps.undirect(e).collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
+    val u = Graphs.pairs(GraphOps.undirect(e))
     assert(u.sorted == Seq((1L, 2L), (2L, 1L), (3L, 3L), (3L, 3L)).sorted)
   }
 
@@ -32,8 +32,7 @@ class GraphOpsSpec extends SparkSpec {
   }
 
   test("canonical dedups orientations, duplicates and loops") {
-    val c = GraphOps.canonical(df(Seq((2L, 1L), (1L, 2L), (1L, 2L), (5L, 5L), (3L, 4L))))
-      .collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
+    val c = Graphs.pairs(GraphOps.canonical(df(Seq((2L, 1L), (1L, 2L), (1L, 2L), (5L, 5L), (3L, 4L)))))
     assert(c.sorted == Seq((1L, 2L), (3L, 4L)))
   }
 
@@ -42,8 +41,8 @@ class GraphOpsSpec extends SparkSpec {
     // Same partition under two different labelings must normalise identically.
     val l1 = Seq((1L, 100L), (2L, 100L), (3L, -7L)).toDF("v", "r")
     val l2 = Seq((1L, 5L), (2L, 5L), (3L, 999L)).toDF("v", "r")
-    val n1 = GraphOps.normalizeLabels(l1).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-    val n2 = GraphOps.normalizeLabels(l2).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+    val n1 = Graphs.pairs(GraphOps.normalizeLabels(l1)).toSet
+    val n2 = Graphs.pairs(GraphOps.normalizeLabels(l2)).toSet
     assert(n1 == n2)
     assert(n1 == Set((1L, 1L), (2L, 1L), (3L, 3L)))
   }

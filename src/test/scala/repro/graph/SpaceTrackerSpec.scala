@@ -17,8 +17,6 @@ class SpaceTrackerSpec extends SparkSpec {
   private def table(t: SpaceTracker, name: String, rows: Long): Table = t.materialize(name, edges(rows))
   private def round(t: SpaceTracker, name: String, rows: Long): Table = t.endRound(name, edges(rows))
 
-  private def views(): Set[String] = spark.catalog.listTables().collect().map(_.name).toSet
-
   /** The temp views registered while `body` runs, as the session's query
     * listener sees them. Listener events arrive in order, so once a marker
     * view registered after `body` is seen, every view `body` registered was.

@@ -64,12 +64,20 @@ class HarnessSpec extends SparkSpec {
 
   test("sweep covers all dataset × algorithm cells") {
     val before = cachedRdds()
-    val res    = BenchHarness.sweep(spark, Seq(tinyRmat),
+    val sweep  = BenchHarness.sweep(spark, Seq(tinyRmat),
       Seq(RandomisedContraction(), repro.baselines.TwoPhase))
+    val res    = sweep.flatMap(_._3)
     assert(res.map(r => (r.dataset, r.algo)).toSet ==
       Set(("tiny-rmat", "RC"), ("tiny-rmat", "TP")))
     assert(res.forall(_.status == "ok"))
     assert(cachedRdds() -- before == Set.empty) // edge table, results and labels all freed
+    // Each dataset's statistics outlive its edge table and equal a fresh preparation's.
+    assert(sweep.map(_._1.name) == Seq("tiny-rmat"))
+    for ((d, stats, _) <- sweep) {
+      val fresh = BenchHarness.prepare(spark, d.build)
+      assert((stats.rows, stats.vertices, stats.components) == (fresh.rows, fresh.vertices, fresh.components))
+      fresh.tracker.dropAll()
+    }
   }
 
   test("capRows scales with input but has a floor") {

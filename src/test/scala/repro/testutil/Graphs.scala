@@ -18,7 +18,8 @@ object Graphs {
   def inGfp(edges: Seq[(Long, Long)]): Boolean =
     edges.forall { case (v, w) => Seq(v, w).forall(x => x >= 0L && x < ModP.P) }
 
-  private def pathEdges(ids: Seq[Long]): Seq[(Long, Long)] = ids.zip(ids.tail)
+  /** The path through `ids` in order: one edge per consecutive pair. */
+  def pathEdges(ids: Seq[Long]): Seq[(Long, Long)] = ids.zip(ids.tail)
 
   /** Small graphs covering the paper's edge cases: loops (isolated vertices),
     * duplicates, both orientations, adversarial sequential numbering,
@@ -64,6 +65,10 @@ object Graphs {
     import spark.implicits._
     edges.toDF("v", "w")
   }
+
+  /** The rows of a two-LONG-column table (edges or labels), collected. */
+  def pairs(df: DataFrame): Seq[(Long, Long)] =
+    df.collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
 
   /** Number of distinct components in a labelling (v, r). */
   def componentCount(labels: DataFrame): Long =
